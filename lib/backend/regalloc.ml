@@ -63,17 +63,27 @@ let operand_regs_set ops =
     RSet.empty ops
 
 let build_intervals (lv : Liveness.t) (f : func) : interval list =
-  let lo : (reg, int) Hashtbl.t = Hashtbl.create 64 in
-  let hi : (reg, int) Hashtbl.t = Hashtbl.create 64 in
+  (* [lo.(r)] and [hi.(r)]: first and last program point touching vreg
+     [r] (-1: never touched). Points are visited in increasing order, so
+     the first touch fixes [lo] and every touch moves [hi]. [f_next_reg]
+     bounds the numbering; the arrays grow should a register exceed it. *)
+  let lo = ref (Array.make (max 1 f.f_next_reg) (-1)) in
+  let hi = ref (Array.make (max 1 f.f_next_reg) (-1)) in
   let touch p r =
-    (match Hashtbl.find_opt lo r with
-    | Some v when v <= p -> ()
-    | _ -> Hashtbl.replace lo r p);
-    match Hashtbl.find_opt hi r with
-    | Some v when v >= p -> ()
-    | _ -> Hashtbl.replace hi r p
+    if r >= Array.length !lo then begin
+      let grow a =
+        let a' = Array.make (2 * r + 1) (-1) in
+        Array.blit a 0 a' 0 (Array.length a);
+        a'
+      in
+      lo := grow !lo;
+      hi := grow !hi
+    end;
+    if !lo.(r) < 0 then !lo.(r) <- p;
+    !hi.(r) <- p
   in
-  let touch_set p s = RSet.iter (fun r -> touch p r) s in
+  let touch_op p o = List.iter (touch p) (operand_regs o) in
+  let touch_set p s = RSet.iter (touch p) s in
   let point = ref 0 in
   let next () =
     let p = !point in
@@ -95,7 +105,7 @@ let build_intervals (lv : Liveness.t) (f : func) : interval list =
       List.iter
         (fun p ->
           touch entry p.phi_reg;
-          List.iter (fun (_, o) -> touch_set entry (operand_regs_set [ o ])) p.phi_incoming)
+          List.iter (fun (_, o) -> touch_op entry o) p.phi_incoming)
         b.b_phis;
       (* per-instruction points: the def is born at its point; uses must
          survive up to it. Live-through values are pinned by the entry
@@ -104,24 +114,22 @@ let build_intervals (lv : Liveness.t) (f : func) : interval list =
         (fun i ->
           let p = next () in
           (match inst_def i with Some r -> touch p r | None -> ());
-          touch_set p (operand_regs_set (inst_uses i)))
+          List.iter (touch_op p) (inst_uses i))
         b.b_insts;
       (* block exit: terminator operands and everything live out *)
       let exit_ = next () in
-      touch_set exit_ (operand_regs_set (term_uses b.b_term));
+      List.iter (touch_op exit_) (term_uses b.b_term);
       touch_set exit_ live_out)
     f.f_blocks;
-  let ivs =
-    Hashtbl.fold
-      (fun r s acc ->
-        { iv_reg = r; iv_start = s; iv_end = Hashtbl.find hi r; iv_loc = Phys (-1) }
-        :: acc)
-      lo []
-  in
-  List.sort
-    (fun a b ->
-      match compare a.iv_start b.iv_start with 0 -> compare a.iv_reg b.iv_reg | c -> c)
-    ivs
+  (* collected in increasing register order, so a stable sort on the
+     start point orders by (start, reg) *)
+  let lo = !lo and hi = !hi in
+  let ivs = ref [] in
+  for r = Array.length lo - 1 downto 0 do
+    if lo.(r) >= 0 then
+      ivs := { iv_reg = r; iv_start = lo.(r); iv_end = hi.(r); iv_loc = Phys (-1) } :: !ivs
+  done;
+  List.stable_sort (fun a b -> Int.compare a.iv_start b.iv_start) !ivs
 
 (* ---------- the scan --------------------------------------------------- *)
 
@@ -156,25 +164,34 @@ let static_spill_counts (f : func) (spilled : RSet.t) =
 let run ?(budget = 255) (lv : Liveness.t) (f : func) : result =
   let budget = max 1 budget in
   let intervals = build_intervals lv f in
-  let loc_of : (reg, loc) Hashtbl.t = Hashtbl.create 64 in
-  (* free physical registers, lowest first so reg indices stay dense *)
-  let free = ref (List.init budget (fun i -> i)) in
+  (* busy map over the register file; [lowest] is the lowest free index
+     ([budget] when none is free), so registers are handed out lowest
+     first and indices stay dense *)
+  let busy = Array.make budget false in
+  let lowest = ref 0 in
   let take () =
-    match !free with
-    | r :: rest ->
-      free := rest;
-      r
-    | [] -> assert false
+    let r = !lowest in
+    busy.(r) <- true;
+    let i = ref (r + 1) in
+    while !i < budget && busy.(!i) do incr i done;
+    lowest := !i;
+    r
   in
-  let give r = free := List.sort compare (r :: !free) in
-  (* active intervals sorted by increasing end point *)
-  let active = ref [] in
+  let give r =
+    busy.(r) <- false;
+    if r < !lowest then lowest := r
+  in
+  (* active intervals sorted by increasing end point in [act.(0..n-1)];
+     each holds one busy register, so [n <= budget]. A new interval goes
+     before the first one ending no earlier than it. *)
+  let act = Array.make budget { iv_reg = -1; iv_start = 0; iv_end = 0; iv_loc = Slot 0 } in
+  let n = ref 0 in
   let insert_active iv =
-    let rec go = function
-      | [] -> [ iv ]
-      | a :: rest as l -> if iv.iv_end <= a.iv_end then iv :: l else a :: go rest
-    in
-    active := go !active
+    let pos = ref 0 in
+    while !pos < !n && act.(!pos).iv_end < iv.iv_end do incr pos done;
+    Array.blit act !pos act (!pos + 1) (!n - !pos);
+    act.(!pos) <- iv;
+    incr n
   in
   let regs_used = ref 0 in
   let pressure = ref 0 in
@@ -195,30 +212,36 @@ let run ?(budget = 255) (lv : Liveness.t) (f : func) : result =
   List.iter
     (fun iv ->
       (* expire intervals that ended before this one starts *)
-      let rec expire = function
-        | a :: rest when a.iv_end < iv.iv_start ->
-          (match a.iv_loc with Phys r -> give r | Slot _ -> ());
-          expire rest
-        | l -> l
-      in
-      active := expire !active;
-      pressure := max !pressure (List.length !active + 1);
-      if List.length !active < budget then assign_phys iv
+      let k = ref 0 in
+      while !k < !n && act.(!k).iv_end < iv.iv_start do
+        (match act.(!k).iv_loc with Phys r -> give r | Slot _ -> ());
+        incr k
+      done;
+      if !k > 0 then begin
+        Array.blit act !k act 0 (!n - !k);
+        n := !n - !k
+      end;
+      pressure := max !pressure (!n + 1);
+      if !n < budget then assign_phys iv
       else begin
         (* furthest-end heuristic: spill whichever of {the active set,
            the new interval} is live the longest *)
-        match List.rev !active with
-        | last :: _ when last.iv_end > iv.iv_end ->
+        let last = act.(!n - 1) in
+        if last.iv_end > iv.iv_end then begin
           let phys = match last.iv_loc with Phys r -> r | Slot _ -> assert false in
           assign_slot last;
-          active := List.filter (fun a -> a != last) !active;
+          decr n;
           give phys;
           assign_phys iv
-        | _ -> assign_slot iv
+        end
+        else assign_slot iv
       end)
     intervals;
-  List.iter (fun iv -> Hashtbl.replace loc_of iv.iv_reg iv.iv_loc) intervals;
-  let stores, loads = static_spill_counts f !spilled in
+  let loc_of : (reg, loc) Hashtbl.t = Hashtbl.create (max 16 (List.length intervals)) in
+  List.iter (fun iv -> Hashtbl.add loc_of iv.iv_reg iv.iv_loc) intervals;
+  let stores, loads =
+    if RSet.is_empty !spilled then (0, 0) else static_spill_counts f !spilled
+  in
   { ra_func = f.f_name;
     ra_budget = budget;
     ra_loc = loc_of;

@@ -27,8 +27,26 @@
      invalidation contract: any changing pass that does not declare
      [pr_calls] drops it.
 
+   Known-clean memo
+   - For each function-local pass ([local_opt], [cse]) the manager keeps,
+     per function name, the record that pass last returned unchanged.
+     Such a pass is a pure function of the function record and an
+     environment ([local_opt]: the module's purity set; [cse]: nothing),
+     so [map_functions] skips a record physically equal to its clean
+     mark: a rerun would return it unchanged again. The marks of a pass
+     are dropped whenever its environment differs from the one they were
+     recorded under.
+
+   Name supply
+   - The inliner numbers its clone labels ([.i<N>], [.cont<N>]) from a
+     counter owned by the manager, so one compile names its clones the
+     same way whatever ran before it in the process or on other domains.
+     The counter starts past the largest such suffix already present in
+     the module, so re-optimizing optimized IR cannot collide.
+
    [create ~caching:false] yields a pass-through manager (every query
-   recomputes) used for A/B compile-time measurements in perfbench. *)
+   recomputes, no clean marks) used for A/B compile-time measurements in
+   perfbench and as the reference in the cached-vs-uncached IR pin. *)
 
 open Ozo_ir.Types
 module Cfg = Ozo_ir.Cfg
@@ -51,6 +69,7 @@ type stats = {
   mutable st_hits : int;
   mutable st_misses : int;
   mutable st_invalidations : int;
+  mutable st_clean_skips : int; (* function-local pass runs the memo skipped *)
 }
 
 (* CFG shape: block labels in order with their terminator successors.
@@ -74,10 +93,15 @@ type entry = {
   mutable e_pressure : int option;
 }
 
+(* clean marks of one function-local pass, valid under [cl_env] *)
+type clean = { mutable cl_env : SSet.t; cl_funcs : (string, func) Hashtbl.t }
+
 type t = {
   caching : bool;
   entries : (string, entry) Hashtbl.t;
   mutable cg : Callgraph.t option;
+  clean : (string, clean) Hashtbl.t; (* pass name -> clean marks *)
+  mutable site : int option; (* last inline site number; None until seeded *)
   stats : stats;
 }
 
@@ -85,7 +109,9 @@ let create ?(caching = true) () =
   { caching;
     entries = Hashtbl.create 16;
     cg = None;
-    stats = { st_hits = 0; st_misses = 0; st_invalidations = 0 } }
+    clean = Hashtbl.create 4;
+    site = None;
+    stats = { st_hits = 0; st_misses = 0; st_invalidations = 0; st_clean_skips = 0 } }
 
 let stats t = t.stats
 let caching t = t.caching
@@ -287,6 +313,87 @@ let callgraph t (m : modul) : Callgraph.t =
       let cg = Callgraph.build m in
       t.cg <- Some cg;
       cg
+
+(* ---------- function-local passes --------------------------------------- *)
+
+(* Run the function-local pass [pass] over every function of [m], where
+   [run f] is a pure function of [f] and [env] that returns [f] itself
+   when it changes nothing. Functions still physically equal to the
+   record [run] last returned unchanged (under an equal [env]) are
+   skipped. Returns [m] itself when no function changed. *)
+let map_functions t ~pass ?(env = SSet.empty) (run : func -> func * bool) (m : modul)
+    : modul * bool =
+  let marks =
+    if not t.caching then None
+    else
+      match Hashtbl.find_opt t.clean pass with
+      | Some c ->
+        if not (SSet.equal c.cl_env env) then begin
+          Hashtbl.reset c.cl_funcs;
+          c.cl_env <- env
+        end;
+        Some c.cl_funcs
+      | None ->
+        let c = { cl_env = env; cl_funcs = Hashtbl.create 16 } in
+        Hashtbl.add t.clean pass c;
+        Some c.cl_funcs
+  in
+  let is_clean f =
+    match marks with
+    | Some tbl -> (
+      match Hashtbl.find_opt tbl f.f_name with Some g -> g == f | None -> false)
+    | None -> false
+  in
+  let changed = ref false in
+  let funcs =
+    List.map
+      (fun f ->
+        if is_clean f then begin
+          t.stats.st_clean_skips <- t.stats.st_clean_skips + 1;
+          f
+        end
+        else begin
+          let f', ch = run f in
+          if ch then changed := true
+          else Option.iter (fun tbl -> Hashtbl.replace tbl f.f_name f) marks;
+          f'
+        end)
+      m.m_funcs
+  in
+  if !changed then ({ m with m_funcs = funcs }, true) else (m, false)
+
+(* largest N of any [.i<N>] or [.cont<N>] label component in [m] *)
+let max_site_suffix (m : modul) =
+  let num s k =
+    let tail = String.sub s k (String.length s - k) in
+    if tail <> "" && String.for_all (fun c -> c >= '0' && c <= '9') tail then
+      int_of_string_opt tail
+    else None
+  in
+  let best = ref 0 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun b ->
+          List.iter
+            (fun part ->
+              let v =
+                if String.starts_with ~prefix:"cont" part then num part 4
+                else if String.starts_with ~prefix:"i" part then num part 1
+                else None
+              in
+              match v with Some v when v > !best -> best := v | _ -> ())
+            (List.tl (String.split_on_char '.' b.b_label)))
+        f.f_blocks)
+    m.m_funcs;
+  !best
+
+(* A fresh inline site number for this compile; the first call seeds the
+   supply past every site suffix already present in [m]. *)
+let fresh_site t (m : modul) =
+  let n = 1 + match t.site with Some n -> n | None -> max_site_suffix m in
+  t.site <- Some n;
+  n
 
 (* ---------- invalidation ------------------------------------------------ *)
 

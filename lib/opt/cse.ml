@@ -120,13 +120,4 @@ let run_function (am : Analysis.t) (f : func) : func * bool =
 
 let run ?am (m : modul) : modul * bool =
   let am = match am with Some a -> a | None -> Analysis.create () in
-  let changed = ref false in
-  let funcs =
-    List.map
-      (fun f ->
-        let f', ch = run_function am f in
-        if ch then changed := true;
-        f')
-      m.m_funcs
-  in
-  if !changed then ({ m with m_funcs = funcs }, true) else (m, false)
+  Analysis.map_functions am ~pass (run_function am) m

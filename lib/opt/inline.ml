@@ -183,11 +183,6 @@ let should_inline (cg : Callgraph.t) (_m : modul) (callee : func) =
   let callers = Callgraph.callers cg callee.f_name in
   size <= default_block_budget || SSet.cardinal callers <= 1
 
-(* Site counter for unique clone labels. Global across pipeline rounds:
-   resetting it would let a round-2 clone collide with surviving round-1
-   labels in the same function. *)
-let site = ref 0
-
 (* One inlining sweep over the module: each function inlines its eligible
    call sites (one nesting level per sweep; the pipeline iterates). *)
 let run ?am ?(sink = Remarks.drop) (m : modul) : modul * bool =
@@ -219,8 +214,11 @@ let run ?am ?(sink = Remarks.drop) (m : modul) : modul * bool =
         in
         match found with
         | Some (block, idx, dst, callee, args) ->
-          incr site;
-          f := inline_call !f callee ~block ~idx ~dst ~args ~site:!site;
+          (* site numbers come from the compile's name supply: unique
+             across pipeline rounds, so a round-2 clone cannot collide
+             with surviving round-1 labels in the same function *)
+          let site = Analysis.fresh_site am m in
+          f := inline_call !f callee ~block ~idx ~dst ~args ~site;
           Remarks.applied sink ~pass ~func:!f.f_name "inlined %s" callee.f_name;
           changed := true;
           continue_ := true

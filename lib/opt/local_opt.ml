@@ -449,16 +449,9 @@ let simplify_function (am : Analysis.t) (m : modul) (pure : SSet.t) (f : func) :
 let run ?am (m : modul) : modul * bool =
   let am = match am with Some a -> a | None -> Analysis.create () in
   let pure = pure_functions m in
-  let changed = ref false in
-  let funcs =
-    List.map
-      (fun f ->
-        let f', ch = try simplify_function am m pure f with Failure msg ->
-          Fmt.epr "INPUT WAS:@.%a@." Ozo_ir.Printer.pp_func f;
-          failwith msg
-        in
-        if ch then changed := true;
-        f')
-      m.m_funcs
-  in
-  if !changed then ({ m with m_funcs = funcs }, true) else (m, false)
+  Analysis.map_functions am ~pass ~env:pure
+    (fun f ->
+      try simplify_function am m pure f with Failure msg ->
+        Fmt.epr "INPUT WAS:@.%a@." Ozo_ir.Printer.pp_func f;
+        failwith msg)
+    m

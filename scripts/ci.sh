@@ -212,4 +212,16 @@ echo "== perf micro-suite (smoke) =="
 # hanging it
 timeout 600 scripts/bench.sh --smoke
 
+echo "== backend allocation ceiling =="
+# deterministic allocation gate on the late lowering of every small
+# proxy: the busy-map register allocator keeps backend/lower near 4 MB
+# per iteration, where the sorted free list it replaced cost about 36 MB
+alloc=$(awk '/"name": "backend\/lower"/ { f = 1 }
+  f && /alloc_bytes_per_iter/ {
+    sub(/.*"alloc_bytes_per_iter": */, ""); sub(/[^0-9].*/, ""); print; exit }' \
+  bench/out/BENCH_engine.json)
+[ -n "$alloc" ] && [ "$alloc" -le 12000000 ] || {
+  echo "FAIL: backend/lower allocates ${alloc:-?} bytes/iter (ceiling 12000000)"; exit 1; }
+echo "backend/lower: $alloc bytes/iter (ceiling 12000000)"
+
 echo "CI OK"

@@ -187,31 +187,148 @@ let test_differential () =
         configs)
     [ "xsbench"; "minifmm" ]
 
-(* optimized IR must be bit-identical with caching on and off *)
+let pp_ir m = Fmt.str "%a" Ozo_ir.Printer.pp_module m
+
+(* optimized IR must be bit-identical with caching on and off; the
+   uncached manager keeps no clean marks either, so this is also the
+   differential test of the function-local passes' clean memo *)
 let test_cached_vs_uncached () =
   List.iter
-    (fun pname ->
-      let p = small_proxy pname in
-      let b = Ozo_harness.Experiments.new_rt_for p in
-      let linked = linked_module p b in
+    (fun p ->
       List.iter
-        (fun cfg ->
-          (* the inliner's clone-label counter is global; pin it so both
-             runs produce identical labels and the diff is meaningful *)
-          Ozo_opt.Inline.site := 0;
-          let cached = Pipeline.run cfg linked in
-          Ozo_opt.Inline.site := 0;
-          let uncached =
-            Pipeline.run
-              ~opts:{ Pipeline.default_opts with Pipeline.caching = false }
-              cfg linked
-          in
-          let pp m = Fmt.str "%a" Ozo_ir.Printer.pp_module m in
-          if pp cached <> pp uncached then
-            Alcotest.failf "%s/%s: cached and uncached IR differ" pname
-              cfg.Pipeline.name)
-        configs)
-    [ "xsbench"; "minifmm" ]
+        (fun (b : C.build) ->
+          let linked = linked_module p b in
+          List.iter
+            (fun cfg ->
+              let cached = Pipeline.run cfg linked in
+              let uncached =
+                Pipeline.run
+                  ~opts:{ Pipeline.default_opts with Pipeline.caching = false }
+                  cfg linked
+              in
+              if pp_ir cached <> pp_ir uncached then
+                Alcotest.failf "%s/%s/%s: cached and uncached IR differ"
+                  p.Proxy.p_name b.C.b_label cfg.Pipeline.name)
+            configs)
+        (Ozo_harness.Experiments.builds_for p))
+    (Registry.all_small ())
+
+(* ---------- clean memo ---------------------------------------------------- *)
+
+(* run [pass] with one manager until it reports no change; the final
+   unchanged run leaves every function marked clean *)
+let rec to_fixpoint am pass m =
+  let m', ch = pass am m in
+  if ch then to_fixpoint am pass m' else m'
+
+let local_opt am m = Ozo_opt.Local_opt.run ~am m
+let cse am m = Ozo_opt.Cse.run ~am m
+
+let test_memo_skips_clean () =
+  let p = small_proxy "xsbench" in
+  let linked = linked_module p (Ozo_harness.Experiments.new_rt_for p) in
+  List.iter
+    (fun (name, pass) ->
+      let am = Analysis.create () in
+      let m = to_fixpoint am pass linked in
+      let skips0 = (Analysis.stats am).Analysis.st_clean_skips in
+      let m', ch = pass am m in
+      Alcotest.(check bool) (name ^ ": rerun reports no change") false ch;
+      Alcotest.(check bool) (name ^ ": rerun returns the module itself") true (m' == m);
+      Alcotest.(check int)
+        (name ^ ": every function skipped")
+        (List.length m.m_funcs)
+        ((Analysis.stats am).Analysis.st_clean_skips - skips0))
+    [ ("local_opt", local_opt); ("cse", cse) ]
+
+(* [f] calls [g] and drops the result; [g] stores (impure) or not *)
+let purity_module ~g_pure =
+  let b = B.create "purity" in
+  ignore (B.add_global b ~space:Global ~size:8 ~init:Zero_init "cell");
+  ignore (B.begin_func b ~name:"g" ~params:[] ~ret:(Some I64) ());
+  B.set_block b "entry";
+  if not g_pure then B.store b I64 (B.i64 1) (Global_addr "cell");
+  B.ret b (Some (B.i64 7));
+  ignore (B.end_func b);
+  ignore
+    (B.begin_func b ~name:"f" ~kernel:true ~linkage:External ~params:[] ~ret:None ());
+  B.set_block b "entry";
+  ignore (B.call b ~ret:I64 "g" []);
+  B.ret b None;
+  ignore (B.end_func b);
+  B.finish b
+
+let test_memo_purity_change () =
+  let calls_in name m =
+    count_in_func is_call (Option.get (find_func m name))
+  in
+  let am = Analysis.create () in
+  let impure = purity_module ~g_pure:false in
+  let m1 = to_fixpoint am local_opt impure in
+  Alcotest.(check int) "call to an impure g survives" 1 (calls_in "f" m1);
+  (* g becomes pure; f is the very record the memo marked clean *)
+  let g' = Option.get (find_func (purity_module ~g_pure:true) "g") in
+  let m2 =
+    { m1 with
+      m_funcs = List.map (fun f -> if f.f_name = "g" then g' else f) m1.m_funcs }
+  in
+  let m3, ch = local_opt am m2 in
+  Alcotest.(check bool) "purity change re-simplifies the caller" true ch;
+  Alcotest.(check int) "dead call to a now-pure g removed" 0 (calls_in "f" m3);
+  (* and back: g impure again drops the marks recorded under the pure set *)
+  let m4 = to_fixpoint am local_opt m3 in
+  let skips0 = (Analysis.stats am).Analysis.st_clean_skips in
+  let g_impure = Option.get (find_func impure "g") in
+  let m5 =
+    { m4 with
+      m_funcs = List.map (fun f -> if f.f_name = "g" then g_impure else f) m4.m_funcs }
+  in
+  ignore (local_opt am m5);
+  Alcotest.(check int) "no function skipped under a changed purity set" skips0
+    (Analysis.stats am).Analysis.st_clean_skips
+
+(* ---------- inline name supply -------------------------------------------- *)
+
+(* New RT (Nightly) keeps inlined continuation blocks in the final IR *)
+let xsbench_ir () =
+  let p = small_proxy "xsbench" in
+  let b = C.new_rt_nightly in
+  pp_ir (C.compile b (Proxy.kernel_for p b.C.b_abi)).C.c_module
+
+(* one compile's IR is a function of the compile alone: the same bytes
+   first, after 20 other compiles, and on 4 domains at once *)
+let test_name_supply_deterministic () =
+  let first = xsbench_ir () in
+  Alcotest.(check bool) "inlined clones present" true (contains first ".cont");
+  let others = List.filteri (fun i _ -> i < 20)
+      (List.concat_map
+         (fun p -> List.map (fun b -> (p, b)) (Ozo_harness.Experiments.builds_for p))
+         (Registry.all_small ()))
+  in
+  Alcotest.(check int) "20 other compiles" 20 (List.length others);
+  List.iter
+    (fun (p, (b : C.build)) -> ignore (C.compile b (Proxy.kernel_for p b.C.b_abi)))
+    others;
+  Alcotest.(check string) "after 20 other compiles" first (xsbench_ir ());
+  let out = Array.make 4 "" in
+  Ozo_util.Pool.run ~workers:4 (fun w -> out.(w) <- xsbench_ir ());
+  Array.iteri
+    (fun w ir -> Alcotest.(check string) (Printf.sprintf "domain %d of 4" w) first ir)
+    out
+
+(* re-optimizing optimized IR: new clone labels start past the old ones *)
+let test_name_supply_seeded () =
+  let p = small_proxy "xsbench" in
+  let b = Ozo_harness.Experiments.new_rt_for p in
+  let optimized = Pipeline.run b.C.b_pipe (linked_module p b) in
+  let top = Analysis.max_site_suffix optimized in
+  Alcotest.(check bool) "optimized IR carries site suffixes" true (top > 0);
+  let am = Analysis.create () in
+  Alcotest.(check int) "first fresh site is past them" (top + 1)
+    (Analysis.fresh_site am optimized);
+  Alcotest.(check int) "then counts up" (top + 2) (Analysis.fresh_site am optimized);
+  let opts = { Pipeline.default_opts with Pipeline.verify_each_step = true } in
+  ignore (Pipeline.run ~opts Pipeline.full optimized)
 
 let test_full_pipeline_hit_rate () =
   let p = small_proxy "xsbench" in
@@ -233,4 +350,8 @@ let suite =
     tc "analysis: physical-identity diff is precise" test_precise_invalidation;
     tc "differential: every pass x config x proxy stays coherent" test_differential;
     tc "pipeline: cached and uncached IR bit-identical" test_cached_vs_uncached;
+    tc "clean memo: rerun at fixpoint skips every function" test_memo_skips_clean;
+    tc "clean memo: purity change re-simplifies callers" test_memo_purity_change;
+    tc "name supply: same IR first, after others, on 4 domains" test_name_supply_deterministic;
+    tc "name supply: seeded past existing suffixes" test_name_supply_seeded;
     tc "pipeline: full config has a nonzero hit rate" test_full_pipeline_hit_rate ]

@@ -355,6 +355,168 @@ let test_vm_form () =
   Alcotest.(check bool) "vm contains spills" true (!spills > 0);
   Alcotest.(check bool) "vm contains reloads" true (!reloads > 0)
 
+
+(* --- allocator oracle -------------------------------------------------------- *)
+
+(* The original list-based linear scan, kept as a test-only reference:
+   intervals from two hashtables, a sorted free list re-sorted on every
+   expiry, and an active list sorted by end point whose length is
+   recounted per interval. The production allocator replaces each of
+   these with dense arrays and counters; its assignments must not move. *)
+module Oracle = struct
+  open Ozo_ir.Types
+  module Liveness = Ozo_ir.Liveness
+  module RSet = Liveness.RSet
+  module SMap = Ozo_ir.Cfg.SMap
+
+  type iv = { reg : reg; start : int; end_ : int; mutable loc : Regalloc.loc }
+
+  let regs_of ops =
+    List.fold_left
+      (fun acc o -> List.fold_left (fun acc r -> RSet.add r acc) acc (operand_regs o))
+      RSet.empty ops
+
+  let intervals (lv : Liveness.t) (f : func) =
+    let lo = Hashtbl.create 64 and hi = Hashtbl.create 64 in
+    let touch p r =
+      (match Hashtbl.find_opt lo r with
+      | Some v when v <= p -> ()
+      | _ -> Hashtbl.replace lo r p);
+      match Hashtbl.find_opt hi r with
+      | Some v when v >= p -> ()
+      | _ -> Hashtbl.replace hi r p
+    in
+    let touch_set p s = RSet.iter (fun r -> touch p r) s in
+    let point = ref 0 in
+    let next () =
+      let p = !point in
+      incr point;
+      p
+    in
+    let live tbl l = Option.value ~default:RSet.empty (SMap.find_opt l tbl) in
+    List.iter
+      (fun b ->
+        let entry = next () in
+        touch_set entry (live lv.Liveness.live_in b.b_label);
+        List.iter
+          (fun p ->
+            touch entry p.phi_reg;
+            List.iter (fun (_, o) -> touch_set entry (regs_of [ o ])) p.phi_incoming)
+          b.b_phis;
+        List.iter
+          (fun i ->
+            let p = next () in
+            (match inst_def i with Some r -> touch p r | None -> ());
+            touch_set p (regs_of (inst_uses i)))
+          b.b_insts;
+        let exit_ = next () in
+        touch_set exit_ (regs_of (term_uses b.b_term));
+        touch_set exit_ (live lv.Liveness.live_out b.b_label))
+      f.f_blocks;
+    Hashtbl.fold
+      (fun r s acc ->
+        { reg = r; start = s; end_ = Hashtbl.find hi r; loc = Regalloc.Phys (-1) } :: acc)
+      lo []
+    |> List.sort (fun a b ->
+           match compare a.start b.start with 0 -> compare a.reg b.reg | c -> c)
+
+  (* (sorted locations, regs used, pressure, spilled, frame bytes) *)
+  let run ~budget lv f =
+    let budget = max 1 budget in
+    let ivs = intervals lv f in
+    let free = ref (List.init budget (fun i -> i)) in
+    let take () =
+      match !free with
+      | r :: rest ->
+        free := rest;
+        r
+      | [] -> assert false
+    in
+    let give r = free := List.sort compare (r :: !free) in
+    let active = ref [] in
+    let insert_active iv =
+      let rec go = function
+        | [] -> [ iv ]
+        | a :: rest as l -> if iv.end_ <= a.end_ then iv :: l else a :: go rest
+      in
+      active := go !active
+    in
+    let regs_used = ref 0 and pressure = ref 0 and slots = ref 0 in
+    let spilled = ref RSet.empty in
+    let assign_phys iv =
+      let r = take () in
+      iv.loc <- Regalloc.Phys r;
+      regs_used := max !regs_used (r + 1);
+      insert_active iv
+    in
+    let assign_slot iv =
+      iv.loc <- Regalloc.Slot !slots;
+      incr slots;
+      spilled := RSet.add iv.reg !spilled
+    in
+    List.iter
+      (fun iv ->
+        let rec expire = function
+          | a :: rest when a.end_ < iv.start ->
+            (match a.loc with Regalloc.Phys r -> give r | Regalloc.Slot _ -> ());
+            expire rest
+          | l -> l
+        in
+        active := expire !active;
+        pressure := max !pressure (List.length !active + 1);
+        if List.length !active < budget then assign_phys iv
+        else
+          match List.rev !active with
+          | last :: _ when last.end_ > iv.end_ ->
+            let phys =
+              match last.loc with Regalloc.Phys r -> r | Regalloc.Slot _ -> assert false
+            in
+            assign_slot last;
+            active := List.filter (fun a -> a != last) !active;
+            give phys;
+            assign_phys iv
+          | _ -> assign_slot iv)
+      ivs;
+    ( List.sort compare (List.map (fun iv -> (iv.reg, iv.loc)) ivs),
+      !regs_used, !pressure, RSet.elements !spilled, !slots * Regalloc.slot_bytes )
+end
+
+let budgets = [ 1; 2; 4; 8; 32; 255 ]
+
+let check_against_oracle what (f : Ozo_ir.Types.func) =
+  let lv = Ozo_ir.Liveness.analyse f in
+  List.iter
+    (fun budget ->
+      let ra = Regalloc.run ~budget lv f in
+      let locs = List.sort compare (List.of_seq (Hashtbl.to_seq ra.Regalloc.ra_loc)) in
+      let got =
+        ( locs, ra.Regalloc.ra_regs_used, ra.Regalloc.ra_pressure,
+          ra.Regalloc.ra_spilled, ra.Regalloc.ra_frame_bytes )
+      in
+      if got <> Oracle.run ~budget lv f then
+        Alcotest.failf "%s/%s: allocation at budget %d differs from the list-based scan"
+          what f.Ozo_ir.Types.f_name budget)
+    budgets
+
+let test_oracle_proxies () =
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (b : C.build) ->
+          let linked = C.link_stage b (Proxy.kernel_for p b.C.b_abi) in
+          let m = Pipeline.run b.C.b_pipe linked in
+          List.iter
+            (check_against_oracle (p.Proxy.p_name ^ "/" ^ b.C.b_label))
+            m.Ozo_ir.Types.m_funcs)
+        (E.builds_for p))
+    (Registry.all_small ())
+
+let test_oracle_irgen () =
+  for seed = 1 to 200 do
+    let m = Ozo_resilience.Irgen.generate ~seed in
+    List.iter (check_against_oracle (Printf.sprintf "irgen seed %d" seed)) m.Ozo_ir.Types.m_funcs
+  done
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suite =
@@ -365,5 +527,7 @@ let suite =
     tc "smem: layout non-overlap + engine parity" test_smem_layout;
     tc "regalloc: budget respected, spills recorded" test_allocator_budget_respected;
     tc "regalloc: spilled run bit-identical on every proxy" test_spill_bit_identity;
+    tc "regalloc oracle: every proxy function, all budgets" test_oracle_proxies;
+    tc "regalloc oracle: 200 generated kernels" test_oracle_irgen;
     tc "vm: lowered program shape + spill code" test_vm_form;
     tc "acceptance: full < baseline regs and smem" test_full_beats_baseline ]
