@@ -378,7 +378,7 @@ let e2e_csv ?(domains = 1) ~small () =
     (fun acc p ->
       List.fold_left
         (fun acc b ->
-          let m = E.measure ~domains p b in
+          let m = E.measure_request p (E.request_for ~domains p b) in
           acc + m.E.r_counters.Ozo_vgpu.Counters.warp_instructions)
         acc (E.builds_for p))
     0 pool
@@ -427,11 +427,7 @@ let tune_suite ~iters =
   let module Tune = Ozo_tune.Tune in
   let module Matrix = Ozo_tune.Matrix in
   let module Machine = Ozo_backend.Machine in
-  let p =
-    List.find
-      (fun p -> p.Ozo_proxies.Proxy.p_name = "xsbench")
-      (Registry.all_small ())
-  in
+  let p = Registry.find_exn ~small:true "xsbench" in
   let search ~measure_top () =
     let v =
       Tune.search ~measure_top ~machine:Machine.mi250 p ~build_name:"new-rt"
@@ -440,8 +436,8 @@ let tune_suite ~iters =
   in
   let matrix () =
     let t =
-      Matrix.run ~small:true ~machines:[ "vgpu"; "mi250" ]
-        ~proxies:[ "xsbench"; "gridmini" ] ()
+      Matrix.run ~machines:[ "vgpu"; "mi250" ] ~proxies:[ "xsbench"; "gridmini" ]
+        { Ozo_serve.Service.default with Ozo_serve.Service.sv_small = true }
     in
     List.fold_left
       (fun acc c ->

@@ -98,7 +98,35 @@ let machine_arg =
     ^ "): wavefront width, SM count and occupancy limits the compile, \
        simulation and cost model run against."
   in
-  Arg.(value & opt string "vgpu" & info [ "machine" ] ~docv:"MACHINE" ~doc)
+  Arg.(value & opt string "vgpu" & info [ "machine"; "m" ] ~docv:"MACHINE" ~doc)
+
+let max_regs_arg =
+  let doc =
+    "Override the per-thread register budget (forces spilling below the \
+     kernel's natural pressure)."
+  in
+  Arg.(value & opt (some int) None & info [ "max-regs" ] ~docv:"N" ~doc)
+
+let with_max_regs max_regs machine =
+  match max_regs with
+  | Some n -> Machine.with_reg_budget n machine
+  | None -> machine
+
+let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV rows.")
+
+let journal_arg =
+  let doc =
+    "Append every completed row to this crash-safe JSONL journal as the rows \
+     run."
+  in
+  Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
+
+let repeat_arg =
+  let doc =
+    "Run the rows N times over (later passes hit the compile cache and \
+     exercise the circuit breaker)."
+  in
+  Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N" ~doc)
 
 let parse_inject seed = function
   | None -> Ok None
@@ -108,10 +136,7 @@ let parse_inject seed = function
     | Error e -> Error (`Msg e))
 
 let find_proxy small name =
-  let pool = if small then Registry.all_small () else Registry.all () in
-  match List.find_opt (fun p -> p.Proxy.p_name = name) pool with
-  | Some p -> Ok p
-  | None -> Error (`Msg ("unknown proxy " ^ name))
+  Option.to_result ~none:(`Msg ("unknown proxy " ^ name)) (Registry.find ~small name)
 
 let handle = function
   | Ok () -> 0
@@ -148,8 +173,9 @@ let run_cmd =
        let b = if debug then C.with_debug b else b in
        let trace = if profile then Trace.make () else Trace.null in
        let m =
-         E.measure ~check_assumes:debug ~sanitize ?inject ~trace ~profile
-           ~domains ~exec ~machine p b
+         E.measure_request p
+           (E.request_for ~check_assumes:debug ~sanitize ?inject ~trace ~profile
+              ~domains ~exec ~machine p b)
        in
        Fmt.pr "%a%a" R.pp_fig11 (name, [ m ]) R.pp_csv_header ();
        Fmt.pr "%a" R.pp_csv m;
@@ -293,7 +319,7 @@ let trace_cmd =
        let* p = find_proxy small name in
        let* b = build_of_string p build in
        let trace = Trace.make () in
-       let m = E.measure ~trace ~profile:true p b in
+       let m = E.measure_request p (E.request_for ~trace ~profile:true p b) in
        let path = match out with Some f -> f | None -> name ^ ".trace.json" in
        Chrome.write trace path;
        Fmt.pr "%a@." Ozo_obs.Profile.pp_report trace;
@@ -328,32 +354,12 @@ let trace_cmd =
 (* --- regs ---------------------------------------------------------------- *)
 
 let regs_cmd =
-  let csv_arg =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV rows.")
-  in
-  let machine_arg =
-    let doc =
-      "Machine descriptor for the occupancy model (" ^ machine_names_doc ^ ")."
-    in
-    Arg.(value & opt string "vgpu" & info [ "machine"; "m" ] ~docv:"MACHINE" ~doc)
-  in
-  let max_regs_arg =
-    let doc =
-      "Override the per-thread register budget (forces spilling below the \
-       kernel's natural pressure)."
-    in
-    Arg.(value & opt (some int) None & info [ "max-regs" ] ~docv:"N" ~doc)
-  in
   let run name small csv machine max_regs =
     handle
       (let ( let* ) = Result.bind in
        let* p = find_proxy small name in
        let* machine = parse_machine machine in
-       let machine =
-         match max_regs with
-         | Some n -> Ozo_backend.Machine.with_reg_budget n machine
-         | None -> machine
-       in
+       let machine = with_max_regs max_regs machine in
        let builds = E.builds_for p in
        let rows =
          List.map
@@ -418,22 +424,6 @@ let regs_cmd =
 (* --- vm ------------------------------------------------------------------ *)
 
 let vm_cmd =
-  let csv_arg =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV rows.")
-  in
-  let machine_arg =
-    let doc =
-      "Machine descriptor for the register budget (" ^ machine_names_doc ^ ")."
-    in
-    Arg.(value & opt string "vgpu" & info [ "machine"; "m" ] ~docv:"MACHINE" ~doc)
-  in
-  let max_regs_arg =
-    let doc =
-      "Override the per-thread register budget (forces spilling below the \
-       kernel's natural pressure)."
-    in
-    Arg.(value & opt (some int) None & info [ "max-regs" ] ~docv:"N" ~doc)
-  in
   let listing_arg =
     Arg.(value & flag
          & info [ "listing" ]
@@ -445,11 +435,7 @@ let vm_cmd =
        let* p = find_proxy small name in
        let* b = build_of_string p build in
        let* machine = parse_machine machine in
-       let machine =
-         match max_regs with
-         | Some n -> Ozo_backend.Machine.with_reg_budget n machine
-         | None -> machine
-       in
+       let machine = with_max_regs max_regs machine in
        let c = C.compile ~machine b (Proxy.kernel_for p b.C.b_abi) in
        let module L = Ozo_backend.Lower in
        let module V = Ozo_backend.Vm in
@@ -525,14 +511,26 @@ let ablate_cmd =
     (Cmd.info "ablate" ~doc:"Run the per-optimization ablation for one proxy (Fig. 13)")
     Term.(const run $ proxy_arg $ small_arg)
 
-(* --- sanitize ------------------------------------------------------------ *)
+(* --- batches through the drain: sanitize / campaign / serve --------------- *)
+
+module Supervisor = Ozo_resilience.Supervisor
+module Fuzz = Ozo_resilience.Fuzz
+module Service = Ozo_serve.Service
+module Serve_cache = Ozo_serve.Cache
+
+let drained f = match f () with r -> Ok r | exception Service.Service_error e -> Error (`Msg e)
 
 let sanitize_cmd =
   let run name small =
     handle
       (let ( let* ) = Result.bind in
-       let* p = find_proxy small name in
-       let ms = E.campaign ~check_assumes:true ~sanitize:true p in
+       let* ms, _ =
+         drained (fun () ->
+             Service.campaign
+               { Service.default with
+                 Service.sv_small = small; sv_sanitize = true; sv_check_assumes = true }
+               ~proxies:[ name ])
+       in
        Fmt.pr "%a" R.pp_fig11 (name ^ " [sanitized]", ms);
        let dirty = List.filter (fun m -> m.E.r_fault <> None) ms in
        if dirty = [] then begin
@@ -552,30 +550,13 @@ let sanitize_cmd =
           non-zero on any finding")
     Term.(const run $ proxy_arg $ small_arg)
 
-(* --- campaign ------------------------------------------------------------- *)
-
-module Supervisor = Ozo_resilience.Supervisor
-module Campaign = Ozo_resilience.Campaign
-module Fuzz = Ozo_resilience.Fuzz
-
 let campaign_cmd =
-  let journal_arg =
-    let doc =
-      "Append every completed row to this crash-safe JSONL journal as the \
-       campaign runs."
-    in
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
-  in
   let resume_arg =
     let doc =
       "Resume from the journal given by --journal: completed rows are replayed \
        verbatim and measurement restarts at the first missing row."
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let repeat_arg =
-    let doc = "Run the full build sweep N times (exercises the circuit breaker)." in
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N" ~doc)
   in
   let retries_arg =
     let doc = "Supervisor retries per row for transient faults." in
@@ -608,13 +589,12 @@ let campaign_cmd =
        | None -> ());
        let trace = if profile then Trace.make () else Trace.null in
        let opts =
-         { Campaign.default with
-           Campaign.co_proxies = [ name ]; co_small = small;
-           co_repeat = repeat; co_sanitize = sanitize; co_inject = inject;
-           co_journal = journal; co_resume = resume;
-           co_abort_after = abort_after; co_domains = domains; co_exec = exec;
-           co_machine = machine;
-           co_sup =
+         { Service.default with
+           Service.sv_small = small; sv_repeat = repeat; sv_sanitize = sanitize;
+           sv_inject = inject; sv_journal = journal; sv_resume = resume;
+           sv_abort_after = abort_after; sv_domains = domains; sv_exec = exec;
+           sv_machine = machine;
+           sv_sup =
              { Supervisor.default with
                Supervisor.sv_retries = retries; sv_deadline_s = deadline;
                sv_seed = seed;
@@ -624,12 +604,7 @@ let campaign_cmd =
                  (if inject <> None then Ozo_vgpu.Fault.all_kinds
                   else Supervisor.default.Supervisor.sv_transient) } }
        in
-       let* ms =
-         match Campaign.run ~trace opts with
-         | ms -> Ok ms
-         | exception Campaign.Aborted m -> Error (`Msg m)
-         | exception E.Harness_error m -> Error (`Msg m)
-       in
+       let* ms, _ = drained (fun () -> Service.campaign ~trace opts ~proxies:[ name ]) in
        Fmt.pr "%a%a" R.pp_fig10 (name, ms) R.pp_fig11 (name, ms);
        if profile then Fmt.pr "%a" R.pp_phases (name, ms);
        Fmt.pr "%a" R.pp_resilience (name, ms);
@@ -647,18 +622,13 @@ let campaign_cmd =
     (Cmd.info "campaign"
        ~doc:
          "Measure one proxy across all standard builds under the resilience \
-          supervisor (watchdog, retry, circuit breaker), degrading gracefully \
-          on faults (optionally injected); exit 0 iff every row ends with a \
-          valid check")
+          supervisor (watchdog, retry, circuit breaker) and the compile \
+          cache, degrading gracefully on faults (optionally injected); exit 0 \
+          iff every row ends with a valid check")
     Term.(const run $ proxy_arg $ small_arg $ sanitize_arg $ inject_arg $ seed_arg
           $ profile_arg $ journal_arg $ resume_arg $ repeat_arg $ retries_arg
           $ deadline_arg $ abort_after_arg $ domains_arg $ exec_arg
           $ machine_arg)
-
-(* --- serve ----------------------------------------------------------------- *)
-
-module Service = Ozo_serve.Service
-module Serve_cache = Ozo_serve.Cache
 
 let serve_cmd =
   let requests_arg =
@@ -668,10 +638,6 @@ let serve_cmd =
     in
     Arg.(required & opt (some string) None & info [ "requests" ] ~docv:"FILE" ~doc)
   in
-  let repeat_arg =
-    let doc = "Drain the request list N times (later passes warm the cache)." in
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N" ~doc)
-  in
   let cache_cap_arg =
     let doc =
       "Maximum cached compiled modules; least-recently-used entries are \
@@ -680,19 +646,11 @@ let serve_cmd =
     in
     Arg.(value & opt (some int) None & info [ "cache-cap" ] ~docv:"N" ~doc)
   in
-  let journal_arg =
-    let doc = "Append every served row to this crash-safe JSONL journal." in
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
-  in
   let run requests small sanitize repeat cache_cap journal domains machine =
     handle
       (let ( let* ) = Result.bind in
        let* machine = parse_machine machine in
-       let* queue =
-         match Service.load_requests requests with
-         | q -> Ok q
-         | exception Service.Service_error e -> Error (`Msg e)
-       in
+       let* queue = drained (fun () -> Service.load_requests requests) in
        let* () = if queue = [] then Error (`Msg "empty request file") else Ok () in
        let opts =
          { Service.default with
@@ -700,11 +658,7 @@ let serve_cmd =
            sv_cache_cap = cache_cap; sv_journal = journal; sv_domains = domains;
            sv_machine = machine }
        in
-       let* ms, stats =
-         match Service.run opts queue with
-         | r -> Ok r
-         | exception Service.Service_error e -> Error (`Msg e)
-       in
+       let* ms, stats = drained (fun () -> Service.run opts queue) in
        Fmt.pr "%a" R.pp_csv_header ();
        List.iter (Fmt.pr "%a" R.pp_csv) ms;
        Fmt.pr "%a" Service.pp_stats stats;
@@ -915,7 +869,6 @@ let tune_cmd =
          with
          | v -> Ok v
          | exception Tune.Tune_error e -> Error (`Msg e)
-         | exception E.Harness_error e -> Error (`Msg e)
        in
        if csv then begin
          Fmt.pr "%a" Tune.pp_csv_header ();
@@ -969,10 +922,10 @@ let matrix_cmd =
        in
        let proxies = match proxies with [] -> None | ps -> Some ps in
        let* t =
-         match Matrix.run ~small ~machines ?proxies ~domains ~exec () with
-         | t -> Ok t
-         | exception Matrix.Matrix_error e -> Error (`Msg e)
-         | exception E.Harness_error e -> Error (`Msg e)
+         drained (fun () ->
+             Matrix.run ~machines ?proxies
+               { Service.default with
+                 Service.sv_small = small; sv_domains = domains; sv_exec = exec })
        in
        if csv then begin
          Fmt.pr "%a" Matrix.pp_csv_header ();

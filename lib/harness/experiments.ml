@@ -8,7 +8,7 @@
    oversubscription flags the application can honestly pass
    (Proxy.assume_profile).
 
-   A faulting build row no longer aborts the campaign: [measure] records
+   A faulting build row no longer aborts a batch: [measure_request] records
    the structured fault and walks the fallback ladder
    (full -> nightly -> baseline -> O0), re-running the proxy at each
    weaker pipeline — without the injection that may have felled the
@@ -59,14 +59,10 @@ type measurement = {
      this records only *how* the row ran: a hit returns the identical
      compiled artifact, so every measured field is unchanged *)
   r_latency_us : float;
-  (* end-to-end service latency of the request (host microseconds,
-     queue admission to readback) when served by the campaign service;
-     0.0 on the batch path *)
+  (* end-to-end latency of the row (host microseconds, admission to
+     readback, supervisor retries included) when run by
+     [Service.drain]; 0.0 on the one-shot path *)
 }
-
-(* user errors outside a measurement (e.g. an unknown proxy name); runtime
-   faults inside one are recorded in the measurement instead of raised *)
-exception Harness_error of string
 
 (* the "New RT" row honoring the proxy's honest assumption set *)
 let new_rt_for (p : Proxy.t) =
@@ -129,8 +125,7 @@ let dead_measurement ?(fallbacks = []) ?(machine = "vgpu") ~proxy ~build fault :
 
 (* The request for one standard harness row: the proxy's launch geometry
    under one build, with the measurement options folded into
-   [Launch_opts.t]. Everything [measure] used to take as optional
-   arguments is a plain field here. *)
+   [Launch_opts.t]. *)
 let request_for ?(check_assumes = false) ?(sanitize = false) ?inject ?watchdog
     ?(trace = Trace.null) ?(profile = false) ?(domains = 1) ?exec ?machine
     (p : Proxy.t) (b : C.build) : C.Request.t =
@@ -226,31 +221,11 @@ let measure_request ?(compiler = C.compile_request) (p : Proxy.t)
     in
     ladder b.C.b_pipe [] primary_meas
 
-(* legacy shim: the optional-argument surface, now a [Request.t] builder *)
-let measure ?check_assumes ?sanitize ?inject ?watchdog ?trace ?profile ?domains
-    ?exec ?machine ?compiler (p : Proxy.t) (b : C.build) : measurement =
-  measure_request ?compiler p
-    (request_for ?check_assumes ?sanitize ?inject ?watchdog ?trace ?profile
-       ?domains ?exec ?machine p b)
-
-(* Figure 10 (a-d) + the TestSNAP column: relative performance of every
-   build, normalized to Old RT (Nightly) — the paper's baseline. *)
-let fig10 (p : Proxy.t) : measurement list = List.map (measure p) (builds_for p)
-
-(* a full campaign over the standard build rows, with optional sanitizer
-   and fault injection; the injection perturbs only each row's primary
-   attempt, so fallbacks re-validate clean. [domains] shards each row's
-   team loop over OCaml domains — results are bit-identical to
-   [domains:1], only wall-clock changes *)
-let campaign ?check_assumes ?sanitize ?inject ?trace ?profile ?domains ?exec
-    (p : Proxy.t) : measurement list =
-  List.map
-    (measure ?check_assumes ?sanitize ?inject ?trace ?profile ?domains ?exec p)
-    (builds_for p)
-
-(* Figure 11: kernel time / registers / shared memory per build. Same
-   measurements as fig10; kept separate for reporting. *)
-let fig11 = fig10
+(* Figure 10 (a-d) + the TestSNAP column, and Figure 11's kernel time /
+   registers / shared memory: every build, normalized to Old RT
+   (Nightly) — the paper's baseline. *)
+let fig10 (p : Proxy.t) : measurement list =
+  List.map (fun b -> measure_request p (request_for p b)) (builds_for p)
 
 (* Figure 12: GridMini GFlops across builds (flops per simulated kernel
    cycle, scaled — absolute units are arbitrary in simulation). *)
@@ -259,17 +234,13 @@ let fig12 () : measurement list = fig10 (Ozo_proxies.Registry.find_exn "gridmini
 (* Figure 13 + Section V-C: disable one co-designed optimization at a
    time. Returns (feature name, measurement) with the full build first. *)
 let ablation (p : Proxy.t) : (string * measurement) list =
+  let run b = measure_request p (request_for p b) in
   let full = new_rt_for p in
-  ("full", measure p full)
+  ("full", run full)
   :: List.map
-       (fun f -> (Pipeline.feature_name f, measure p (C.without f full)))
+       (fun f -> (Pipeline.feature_name f, run (C.without f full)))
        [ Pipeline.B1; Pipeline.B2; Pipeline.B3; Pipeline.B4; Pipeline.C; Pipeline.D ]
 
 (* debug-mode validation run: every assumption checked at runtime *)
 let debug_run (p : Proxy.t) : measurement =
-  measure ~check_assumes:true p (C.with_debug (new_rt_for p))
-
-let find_proxy name =
-  match Ozo_proxies.Registry.find name with
-  | Some p -> p
-  | None -> raise (Harness_error ("unknown proxy " ^ name))
+  measure_request p (request_for ~check_assumes:true p (C.with_debug (new_rt_for p)))

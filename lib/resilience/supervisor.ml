@@ -1,7 +1,7 @@
 (* Supervised execution for long measurement campaigns.
 
-   [supervise] wraps one (proxy × build) measurement so that nothing a
-   single row does can take the campaign down:
+   [supervise] wraps one (proxy × build × machine) measurement so that
+   nothing a single row does can take the batch down:
 
    - any exception escaping the task (a compiler or backend crash, not
      just an engine fault) is captured as a structured [Fault.Internal]
@@ -10,13 +10,14 @@
      the engine scheduler via [Device.Launch_opts.watchdog]) so a wedged
      launch surfaces as [Fault.Deadline] within [sv_deadline_s] seconds;
    - rows that failed with a *transient* fault kind are retried up to
-     [sv_retries] times with seeded exponential backoff — the campaign
+     [sv_retries] times with seeded exponential backoff — the drain
      applies fault injection only on attempt 0, so an injected transient
      re-validates clean on retry;
-   - a per-(proxy × build) circuit breaker counts consecutive failures
-     and, once [sv_breaker_threshold] is reached, skips further repeats
-     of that configuration outright ("skipped" rows), keeping a
-     known-dead config from burning the rest of the campaign's budget.
+   - a per-(proxy × build × machine) circuit breaker counts consecutive
+     failures and, once [sv_breaker_threshold] is reached, skips
+     further repeats of that configuration outright ("skipped" rows),
+     keeping a known-dead config from burning the rest of the batch's
+     budget.
 
    The clock and sleep are injectable so every state transition is
    testable without wall-clock time; the PRNG seeding makes the backoff
@@ -46,8 +47,8 @@ type t = {
   t_sleep : float -> unit;
   t_prng : Prng.t;
   t_trace : Trace.ctx;
-  (* consecutive-failure count per (proxy, build) *)
-  t_breaker : (string * string, int) Hashtbl.t;
+  (* consecutive-failure count per (proxy, build, machine) *)
+  t_breaker : (string * string * string, int) Hashtbl.t;
 }
 
 let create ?clock ?sleep ?(trace = Trace.null) (opts : opts) : t =
@@ -61,22 +62,24 @@ let create ?clock ?sleep ?(trace = Trace.null) (opts : opts) : t =
     t_trace = trace;
     t_breaker = Hashtbl.create 16 }
 
-let failures t ~proxy ~build =
-  match Hashtbl.find_opt t.t_breaker (proxy, build) with Some n -> n | None -> 0
+let failures t key =
+  match Hashtbl.find_opt t.t_breaker key with Some n -> n | None -> 0
 
-let breaker_open t ~proxy ~build =
+let breaker_open t key =
   t.t_opts.sv_breaker_threshold > 0
-  && failures t ~proxy ~build >= t.t_opts.sv_breaker_threshold
+  && failures t key >= t.t_opts.sv_breaker_threshold
 
-(* Feed one completed measurement into the breaker; used both after live
-   rows and when replaying a journal on resume, so a resumed campaign
-   restarts with exactly the breaker state it died with. *)
-let note t ~proxy ~build (m : E.measurement) =
+let count t key (m : E.measurement) =
   if m.E.r_breaker <> "skipped" then
     match m.E.r_check with
-    | Ok () -> Hashtbl.replace t.t_breaker (proxy, build) 0
-    | Error _ ->
-      Hashtbl.replace t.t_breaker (proxy, build) (failures t ~proxy ~build + 1)
+    | Ok () -> Hashtbl.replace t.t_breaker key 0
+    | Error _ -> Hashtbl.replace t.t_breaker key (failures t key + 1)
+
+(* Feed a replayed journal row into the breaker under its own (proxy,
+   build, machine), so a resumed drain restarts with exactly the breaker
+   state it died with. *)
+let note t (m : E.measurement) =
+  count t (m.E.r_proxy, m.E.r_build, m.E.r_machine) m
 
 (* a fresh watchdog armed now; one per attempt, so retries get a full
    deadline of their own *)
@@ -95,26 +98,26 @@ let backoff t attempt =
 
 let transient t kind = List.mem kind t.t_opts.sv_transient
 
-let breaker_state t ~proxy ~build =
-  if breaker_open t ~proxy ~build then "open" else "closed"
-
-let supervise t ~proxy ~build
+let supervise t ~proxy ~build ?(machine = "vgpu")
     (task : attempt:int -> watchdog:(unit -> bool) option -> E.measurement) :
     E.measurement =
-  if breaker_open t ~proxy ~build then begin
+  let key = (proxy, build, machine) in
+  (* every row this function makes carries the key it is counted under *)
+  let dead f = E.dead_measurement ~machine ~proxy ~build f in
+  if breaker_open t key then begin
     let f =
       Fault.make Fault.Internal
         (Printf.sprintf
            "circuit breaker open for %s/%s (%d consecutive failures); \
             configuration skipped"
-           proxy build (failures t ~proxy ~build))
+           proxy build (failures t key))
     in
     Trace.instant t.t_trace ~cat:"supervisor"
       ~args:
         [ ("proxy", Trace.Str proxy); ("build", Trace.Str build);
           ("breaker", Trace.Str "skipped") ]
       "breaker-skip";
-    { (E.dead_measurement ~proxy ~build f) with E.r_breaker = "skipped" }
+    { (dead f) with E.r_breaker = "skipped" }
   end
   else begin
     let deadline_hit = ref false in
@@ -128,7 +131,7 @@ let supervise t ~proxy ~build
             Fault.make Fault.Internal
               ("host-side crash: " ^ Printexc.to_string e)
           in
-          E.dead_measurement ~proxy ~build f
+          dead f
       in
       (match m.E.r_fault with
       | Some f when f.Fault.f_kind = Fault.Deadline -> deadline_hit := true
@@ -149,8 +152,8 @@ let supervise t ~proxy ~build
       | _ -> (m, attempt)
     in
     let m, attempts = go 0 in
-    note t ~proxy ~build m;
-    let st = breaker_state t ~proxy ~build in
+    count t key m;
+    let st = if breaker_open t key then "open" else "closed" in
     let m =
       { m with E.r_retries = attempts; r_deadline_hit = !deadline_hit;
         r_breaker = st }

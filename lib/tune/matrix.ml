@@ -1,7 +1,7 @@
-(* The cross-machine campaign matrix: every proxy x build x machine,
-   measured through the standard [Request.t] path with one serving-tier
-   compile cache shared across the whole sweep (machine is part of
-   [Compile_key], so per-machine compiles cache-separate automatically).
+(* The cross-machine campaign matrix: every proxy x build x machine, a
+   row generator over the one batch loop ([Service.drain]), so every
+   cell is supervised, compiled through one shared compile cache and
+   journaled when [sv_journal] is set.
 
    Reporting reproduces the performance-portability methodology of the
    portability literature on the simulated stack:
@@ -27,7 +27,7 @@
 module E = Ozo_harness.Experiments
 module Proxy = Ozo_proxies.Proxy
 module Machine = Ozo_backend.Machine
-module Cache = Ozo_serve.Cache
+module Service = Ozo_serve.Service
 module Trace = Ozo_obs.Trace
 
 type cell = {
@@ -46,65 +46,47 @@ type t = {
 
 let default_machines = [ "vgpu"; "a100"; "v100"; "mi250"; "h100" ]
 
-exception Matrix_error of string
-
 let machine_of_name n =
   match Machine.find n with
   | Some m -> m
   | None ->
-    raise
-      (Matrix_error
-         ("unknown machine " ^ n ^ " (" ^ String.concat "|" Machine.names ^ ")"))
+    Service.fail "unknown machine %s (%s)" n (String.concat "|" Machine.names)
 
-(* Run the full sweep. [domains]/[exec] ride along like in a campaign:
-   results are bit-identical at any value, only wall-clock changes. *)
-let run ?(small = false) ?(machines = default_machines) ?proxies
-    ?(domains = 1) ?exec ?cache ?(trace = Trace.null) () : t =
-  let pool =
-    if small then Ozo_proxies.Registry.all_small ()
-    else Ozo_proxies.Registry.all ()
-  in
-  let pool =
-    match proxies with
-    | None -> pool
-    | Some names ->
-      List.map
-        (fun n ->
-          match List.find_opt (fun p -> p.Proxy.p_name = n) pool with
-          | Some p -> p
-          | None -> raise (Matrix_error ("unknown proxy " ^ n)))
-        names
-  in
-  let cache =
-    match cache with Some c -> c | None -> Cache.create ~trace ()
-  in
-  let compiler r k = fst (Cache.compile_request cache r k) in
-  let cells =
+(* Run the full sweep through the drain: proxy x build x machine rows,
+   each under [o] with its machine swapped in (the matrix reads every
+   field but [sv_machine] and [sv_repeat]). One compile cache serves the
+   whole sweep; machine is part of the compile key, so per-machine
+   compiles cache-separate automatically. *)
+let run ?cache ?(trace = Trace.null) ?(machines = default_machines)
+    ?(proxies = Ozo_proxies.Registry.names) (o : Service.opts) : t =
+  let plan =
     List.concat_map
-      (fun p ->
+      (fun pname ->
+        let p = Service.resolve_proxy o pname in
         List.concat_map
           (fun bname ->
-            let b =
-              match E.build_of_name p bname with
-              | Ok b -> b
-              | Error e -> raise (Matrix_error e)
-            in
+            let b = Service.build_of_name p bname in
             List.map
               (fun mname ->
-                let machine = machine_of_name mname in
-                let req =
-                  E.request_for ~trace ~domains ?exec ~machine p b
-                in
-                let m = E.measure_request ~compiler p req in
-                { x_proxy = p.Proxy.p_name; x_build = bname;
-                  x_machine = mname; x_m = m })
+                let o = { o with Service.sv_machine = machine_of_name mname } in
+                ((pname, bname, mname), (p, Service.request o ~trace p b)))
               machines)
           E.build_names)
-      pool
+      proxies
   in
-  { mx_machines = machines; mx_builds = E.build_names;
-    mx_proxies = List.map (fun p -> p.Proxy.p_name) pool;
-    mx_cells = cells }
+  let fingerprint =
+    "matrix;machines=" ^ String.concat "," machines ^ ";"
+    ^ Service.campaign_fingerprint o ~proxies
+  in
+  let rows, _ =
+    Service.drain ?cache ~trace o ~fingerprint (fun () -> List.map snd plan)
+  in
+  { mx_machines = machines; mx_builds = E.build_names; mx_proxies = proxies;
+    mx_cells =
+      List.map2
+        (fun ((x_proxy, x_build, x_machine), _) x_m ->
+          { x_proxy; x_build; x_machine; x_m })
+        plan rows }
 
 let cell_ok (c : cell) =
   c.x_m.E.r_fault = None && c.x_m.E.r_check = Ok ()

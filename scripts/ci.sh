@@ -118,7 +118,9 @@ echo "planted miscompile caught; repro at _build/fuzz_plant.ir"
 
 echo "== campaign: kill + resume from journal =="
 # abort after 3 fresh rows (simulated crash), resume from the journal,
-# and require the resumed CSV to be byte-identical to an uninterrupted run
+# and require the resumed CSV to match an uninterrupted run byte for byte
+# once the latency_us column (wall-clock time, the last field of every
+# row) is masked; the cache column and every result column are compared
 JOURNAL=_build/ci_journal.jsonl
 rm -f "$JOURNAL"
 if "$CLI" campaign xsbench --small --journal "$JOURNAL" --abort-after 3 \
@@ -128,17 +130,17 @@ fi
 "$CLI" campaign xsbench --small --journal "$JOURNAL" --resume \
   > _build/ci_campaign_resumed.out
 "$CLI" campaign xsbench --small > _build/ci_campaign_full.out
-sed -n '/^proxy,build/,$p' _build/ci_campaign_resumed.out > _build/ci_resumed.csv
-sed -n '/^proxy,build/,$p' _build/ci_campaign_full.out > _build/ci_full.csv
+sed -n '/^proxy,build/,$p' _build/ci_campaign_resumed.out | sed 's/,[^,]*$//' > _build/ci_resumed.csv
+sed -n '/^proxy,build/,$p' _build/ci_campaign_full.out | sed 's/,[^,]*$//' > _build/ci_full.csv
 diff _build/ci_full.csv _build/ci_resumed.csv || {
   echo "FAIL: resumed campaign CSV differs from uninterrupted run"; exit 1; }
-echo "resume OK: CSV byte-identical after kill at row 3"
+echo "resume OK: CSV identical but for latency after kill at row 3"
 
 echo "== serving tier: content-addressed cache + batched service =="
 # a 2-domain service over a duplicated request list (two passes via
 # --repeat 2) must serve every second-pass compile from cache (>= 50%
-# hit rate), and its CSV must be byte-identical to the sequential
-# supervised campaign modulo the trailing domains/cache/latency columns
+# hit rate), and its CSV must be byte-identical to the same rows drained
+# as a campaign modulo the trailing domains/cache/latency columns
 REQS=_build/ci_requests.txt
 : > "$REQS"
 for b in old-rt new-rt-nightly new-rt-no-assumptions new-rt cuda; do
@@ -156,7 +158,7 @@ sed -n '/^proxy,build/,$p' _build/ci_campaign_r2.out \
   | sed 's/\(,[^,]*\)\{3\}$//' > _build/ci_seq.csv
 diff _build/ci_seq.csv _build/ci_serve.csv || {
   echo "FAIL: served CSV differs from the sequential campaign"; exit 1; }
-echo "serve OK: ${hitrate}% cache hit rate, CSV identical to sequential campaign"
+echo "serve OK: ${hitrate}% cache hit rate, CSV identical to the campaign"
 
 echo "== serving tier: warm-cache bench =="
 # two passes over every proxy x build against one cache: the warm pass

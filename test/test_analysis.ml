@@ -163,7 +163,7 @@ let linked_module (p : Proxy.t) (b : C.build) =
   | Some rt -> Ozo_ir.Linker.link app (Ozo_runtime.Runtime.build rt)
 
 let small_proxy name =
-  match List.find_opt (fun p -> p.Proxy.p_name = name) (Registry.all_small ()) with
+  match Registry.find ~small:true name with
   | Some p -> p
   | None -> Alcotest.failf "no small proxy %s" name
 

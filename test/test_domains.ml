@@ -199,8 +199,8 @@ let test_csv_bytes_identical () =
      column, which records how the row ran *)
   let normalize m = { m with E.r_phase_us = []; r_domains = 1 } in
   let csv m = Fmt.str "%a" R.pp_csv (normalize m) in
-  let m1 = E.measure ~domains:1 p b in
-  let m4 = E.measure ~domains:4 p b in
+  let m1 = E.measure_request p (E.request_for ~domains:1 p b) in
+  let m4 = E.measure_request p (E.request_for ~domains:4 p b) in
   Alcotest.(check int) "effective domains recorded" 4 m4.E.r_domains;
   Alcotest.(check string) "csv bytes identical" (csv m1) (csv m4)
 

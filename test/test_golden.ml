@@ -88,12 +88,12 @@ let build_of p = function
   | b -> Alcotest.failf "unknown golden build %s" b
 
 let small name =
-  match List.find_opt (fun p -> p.Proxy.p_name = name) (Registry.all_small ()) with
+  match Registry.find ~small:true name with
   | Some p -> p
   | None -> Alcotest.failf "unknown proxy %s" name
 
 let measure_once p b =
-  let m = E.measure p b in
+  let m = E.measure_request p (E.request_for p b) in
   (match m.E.r_fault with
   | None -> ()
   | Some f ->

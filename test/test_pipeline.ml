@@ -95,7 +95,7 @@ let test_new_rt_strips_all_state () =
      calls and no barriers *)
   List.iter
     (fun pname ->
-      match Ozo_proxies.Registry.all_small () |> List.find_opt (fun p -> p.Proxy.p_name = pname) with
+      match Ozo_proxies.Registry.find ~small:true pname with
       | None -> Alcotest.failf "missing proxy %s" pname
       | Some p ->
         let c = compile_proxy p C.new_rt in
@@ -109,7 +109,7 @@ let test_new_rt_strips_all_state () =
 
 let test_minifmm_keeps_state () =
   (* nested parallelism must keep thread states and the shared stack *)
-  let p = Ozo_proxies.Registry.all_small () |> List.find (fun p -> p.Proxy.p_name = "minifmm") in
+  let p = Ozo_proxies.Registry.find_exn ~small:true "minifmm" in
   let c = compile_proxy p C.new_rt in
   Alcotest.(check bool) "smem survives" true (c.C.c_smem > 0)
 

@@ -131,13 +131,17 @@ let test_csv_bytes_identical_per_machine () =
         { m with E.r_phase_us = []; r_domains = 1; r_exec = "ir" }
       in
       let csv m = Fmt.str "%a" R.pp_csv (normalize m) in
-      let reference = E.measure ~machine ~domains:1 p b in
+      let reference =
+        E.measure_request p (E.request_for ~machine ~domains:1 p b)
+      in
       Alcotest.(check string)
         (machine.Machine.mc_name ^ ": machine recorded")
         machine.Machine.mc_name reference.E.r_machine;
       List.iter
         (fun (domains, exec) ->
-          let m = E.measure ~machine ~domains ~exec p b in
+          let m =
+            E.measure_request p (E.request_for ~machine ~domains ~exec p b)
+          in
           Alcotest.(check string)
             (Fmt.str "%s csv bytes (domains=%d)" machine.Machine.mc_name
                domains)
@@ -154,8 +158,10 @@ let test_csv_bytes_identical_per_machine () =
 let test_wavefront_width_reaches_engine () =
   let p = Registry.find_exn "xsbench" in
   let b = E.new_rt_for p in
-  let narrow = E.measure ~machine:Machine.v100 p b in
-  let wide = E.measure ~machine:Machine.mi250 p b in
+  let narrow =
+    E.measure_request p (E.request_for ~machine:Machine.v100 p b)
+  in
+  let wide = E.measure_request p (E.request_for ~machine:Machine.mi250 p b) in
   Alcotest.(check bool) "both valid" true
     (narrow.E.r_check = Ok () && wide.E.r_check = Ok ());
   let wi m = m.E.r_counters.Counters.warp_instructions in
@@ -214,7 +220,9 @@ let find_sub hay needle =
 let test_journal_machine_tolerant_decode () =
   let module J = Ozo_resilience.Journal in
   let p = Registry.find_exn "xsbench" in
-  let m = E.measure ~machine:Machine.mi250 p (E.new_rt_for p) in
+  let m =
+    E.measure_request p (E.request_for ~machine:Machine.mi250 p (E.new_rt_for p))
+  in
   let path = Filename.temp_file "ozo_portability" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())

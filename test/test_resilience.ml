@@ -1,6 +1,7 @@
 (* Tests for the resilience layer: supervisor state machine (crash
    capture, retry/backoff, circuit breaker), engine watchdog deadlines,
-   the crash-safe journal, campaign kill/resume, and the differential IR
+   the crash-safe journal, campaign kill/resume and cache reuse through
+   the batch drain, and the differential IR
    fuzzer with its shrinker. *)
 
 open Ozo_ir.Types
@@ -10,7 +11,7 @@ module R = Ozo_harness.Report
 module Fault = Ozo_vgpu.Fault
 module Supervisor = Ozo_resilience.Supervisor
 module Journal = Ozo_resilience.Journal
-module Campaign = Ozo_resilience.Campaign
+module Service = Ozo_serve.Service
 module Irgen = Ozo_resilience.Irgen
 module Fuzz = Ozo_resilience.Fuzz
 
@@ -140,6 +141,26 @@ let test_breaker_resets_on_success () =
   let m = run (failed_row ~proxy:"p" ~build:"b" Fault.Oob) in
   Alcotest.(check string) "success reset the count" "closed" m.E.r_breaker
 
+(* a matrix runs one (proxy, build) on several machines: failures on one
+   machine must not skip another machine's cell *)
+let test_breaker_per_machine () =
+  let opts =
+    { Supervisor.default with
+      Supervisor.sv_breaker_threshold = 1; sv_retries = 0 }
+  in
+  let sup, _ = make_sup ~opts () in
+  let run machine row =
+    Supervisor.supervise sup ~proxy:"p" ~build:"b" ~machine
+      (fun ~attempt:_ ~watchdog:_ -> row)
+  in
+  let m = run "v100" (failed_row ~proxy:"p" ~build:"b" Fault.Oob) in
+  Alcotest.(check string) "v100 opens" "open" m.E.r_breaker;
+  let m = run "mi250" (ok_row ~proxy:"p" ~build:"b") in
+  Alcotest.(check string) "mi250 still runs" "closed" m.E.r_breaker;
+  let m = run "v100" (ok_row ~proxy:"p" ~build:"b") in
+  Alcotest.(check string) "v100 skipped" "skipped" m.E.r_breaker;
+  Alcotest.(check string) "skip row names its machine" "v100" m.E.r_machine
+
 (* --- watchdog ----------------------------------------------------------- *)
 
 (* a kernel that loops far past the watchdog poll interval *)
@@ -236,39 +257,64 @@ let test_journal_tolerates_torn_line () =
 (* --- campaign kill / resume -------------------------------------------- *)
 
 let campaign_opts journal resume abort_after =
-  { Campaign.default with
-    Campaign.co_proxies = [ "xsbench" ]; co_small = true; co_journal = journal;
-    co_resume = resume; co_abort_after = abort_after }
+  { Service.default with
+    Service.sv_small = true; sv_journal = journal; sv_resume = resume;
+    sv_abort_after = abort_after }
 
+let campaign o = fst (Service.campaign o ~proxies:[ "xsbench" ])
+
+(* latency is wall-clock time: the one column two runs cannot share *)
 let csv_of ms =
-  Fmt.str "%a%a" R.pp_csv_header () (fun ppf -> List.iter (R.pp_csv ppf)) ms
+  Fmt.str "%a%a" R.pp_csv_header ()
+    (fun ppf -> List.iter (fun m -> R.pp_csv ppf { m with E.r_latency_us = 0.0 }))
+    ms
 
 let test_campaign_resume_identical () =
   let path = Filename.temp_file "ozo_campaign" ".jsonl" in
   (* killed mid-run after 3 fresh rows *)
-  (match Campaign.run (campaign_opts (Some path) false (Some 3)) with
+  (match campaign (campaign_opts (Some path) false (Some 3)) with
   | _ -> Alcotest.fail "expected the abort hook to fire"
-  | exception Campaign.Aborted _ -> ());
+  | exception Service.Service_error _ -> ());
   (match Journal.load ~path with
   | Ok (_, entries) -> Alcotest.(check int) "three journaled rows" 3 (List.length entries)
   | Error e -> Alcotest.failf "journal after abort: %s" e);
   (* resumed run completes the remaining rows *)
-  let resumed = Campaign.run (campaign_opts (Some path) true None) in
+  let resumed = campaign (campaign_opts (Some path) true None) in
   (* uninterrupted reference run *)
-  let full = Campaign.run (campaign_opts None false None) in
+  let full = campaign (campaign_opts None false None) in
   Alcotest.(check int) "row count" (List.length full) (List.length resumed);
-  Alcotest.(check string) "byte-identical CSV" (csv_of full) (csv_of resumed);
+  Alcotest.(check string) "identical CSV but for latency" (csv_of full) (csv_of resumed);
   Sys.remove path
 
 let test_campaign_resume_rejects_other_fingerprint () =
   let path = Filename.temp_file "ozo_campaign" ".jsonl" in
   let w = Journal.start ~path ~fingerprint:"someone-else" in
   Journal.close w;
-  (match Campaign.run (campaign_opts (Some path) true None) with
+  (match campaign (campaign_opts (Some path) true None) with
   | _ -> Alcotest.fail "expected a fingerprint mismatch"
-  | exception E.Harness_error msg ->
+  | exception Service.Service_error msg ->
     Alcotest.(check bool) "names the mismatch" true (contains msg "fingerprint"));
   Sys.remove path
+
+(* the campaign drains through the compile cache: a repeated sweep
+   compiles nothing and measures exactly what the first sweep did *)
+let test_campaign_repeat_hits_cache () =
+  let ms = campaign { (campaign_opts None false None) with Service.sv_repeat = 2 } in
+  let n = List.length ms / 2 in
+  let first = List.filteri (fun i _ -> i < n) ms
+  and second = List.filteri (fun i _ -> i >= n) ms in
+  let volatile m = { m with E.r_cache_disp = "-"; r_latency_us = 0.0 } in
+  List.iter2
+    (fun a b ->
+      Alcotest.(check string) (a.E.r_build ^ ": first sweep compiles") "miss"
+        a.E.r_cache_disp;
+      Alcotest.(check string) (b.E.r_build ^ ": second sweep hits") "hit"
+        b.E.r_cache_disp;
+      Alcotest.(check string)
+        (b.E.r_build ^ ": same row both sweeps")
+        (Fmt.str "%a" R.pp_csv (volatile a))
+        (Fmt.str "%a" R.pp_csv (volatile b)))
+    first second
 
 (* --- fuzzer ------------------------------------------------------------- *)
 
@@ -314,12 +360,14 @@ let suite =
     tc "supervisor: permanent faults are not retried" test_no_retry_for_permanent_fault;
     tc "supervisor: breaker trips open and skips" test_breaker_trips_and_skips;
     tc "supervisor: breaker resets on success" test_breaker_resets_on_success;
+    tc "supervisor: breaker is per machine" test_breaker_per_machine;
     tc "watchdog: expired deadline faults the launch" test_watchdog_deadline;
     tc "watchdog: unexpired deadline is invisible" test_watchdog_quiet_when_unexpired;
     tc "journal: measurement roundtrip is csv-exact" test_journal_roundtrip;
     tc "journal: torn final line is tolerated" test_journal_tolerates_torn_line;
     tc "campaign: kill + resume produces identical csv" test_campaign_resume_identical;
     tc "campaign: resume refuses a foreign journal" test_campaign_resume_rejects_other_fingerprint;
+    tc "campaign: a repeated sweep hits the compile cache" test_campaign_repeat_hits_cache;
     tc "irgen: generated modules always verify" test_irgen_always_verifies;
     tc "irgen: generation is deterministic" test_irgen_deterministic;
     tc "fuzz: clean run on the real pipeline" test_fuzz_clean_on_real_pipeline;

@@ -32,12 +32,7 @@ module Journal = Ozo_resilience.Journal
 
 let tc = Alcotest.test_case
 
-let small name =
-  match
-    List.find_opt (fun p -> p.Proxy.p_name = name) (Registry.all_small ())
-  with
-  | Some p -> p
-  | None -> Alcotest.failf "no small proxy %s" name
+let small name = Registry.find_exn ~small:true name
 
 let request ?(build = C.new_rt) p =
   E.request_for p { build with C.b_label = build.C.b_label }
@@ -247,7 +242,9 @@ let test_served_vs_sequential () =
   let queue = List.map (fun b -> ("xsbench", b)) E.build_names in
   (* a 2-domain service against the plain sequential harness *)
   let served, _ = Service.run { opts with Service.sv_domains = 2 } queue in
-  let sequential = List.map (E.measure p) (E.builds_for p) in
+  let sequential =
+    List.map (fun b -> E.measure_request p (E.request_for p b)) (E.builds_for p)
+  in
   let normalize m =
     { m with E.r_cache_disp = "-"; r_latency_us = 0.0; r_domains = 1 }
   in
@@ -281,6 +278,55 @@ let test_service_journal () =
           (Fmt.str "%a" R.pp_csv e.Journal.e_m))
       (List.combine ms entries));
   Sys.remove path
+
+(* a queue killed by the abort hook and resumed from its own journal
+   serves exactly the uninterrupted rows; latency is wall-clock time and
+   the one column two runs cannot share *)
+let test_service_resume () =
+  let path = Filename.temp_file "ozo_serve" ".jsonl" in
+  let queue = List.map (fun b -> ("xsbench", b)) E.build_names in
+  let o = { opts with Service.sv_journal = Some path } in
+  (match Service.run { o with Service.sv_abort_after = Some 2 } queue with
+  | _ -> Alcotest.fail "expected the abort hook to fire"
+  | exception Service.Service_error _ -> ());
+  let resumed, st = Service.run { o with Service.sv_resume = true } queue in
+  let full, _ = Service.run opts queue in
+  Alcotest.(check int) "the resumed call measures only the rest" 3
+    st.Service.st_requests;
+  let csv ms =
+    List.map (fun m -> Fmt.str "%a" R.pp_csv { m with E.r_latency_us = 0.0 }) ms
+  in
+  Alcotest.(check (list string)) "resumed rows = uninterrupted rows" (csv full)
+    (csv resumed);
+  Sys.remove path
+
+(* one injected clock, in seconds, drives both the supervisor's watchdog
+   and the row latency (reported in microseconds) *)
+let test_injected_clock_seconds () =
+  let t = ref 0.0 in
+  let clock () =
+    t := !t +. 0.001;
+    !t
+  in
+  let ms, _ = Service.run ~clock opts [ ("xsbench", "new-rt") ] in
+  let m = List.hd ms in
+  Alcotest.(check bool) "row valid, no deadline" true
+    (Result.is_ok m.E.r_check && not m.E.r_deadline_hit);
+  let ticks = m.E.r_latency_us /. 1000.0 in
+  Alcotest.(check bool) "latency counts 1 ms ticks in microseconds" true
+    (ticks >= 1.0 && Float.abs (ticks -. Float.round ticks) < 1e-6)
+
+(* journals written before campaigns and queues shared one drain must
+   still resume *)
+let test_fingerprints_pinned () =
+  Alcotest.(check string) "campaign"
+    "proxies=xsbench;small=false;repeat=1;inject=-;sanitize=false;\
+     assumes=false;domains=1;exec=ir"
+    (Service.campaign_fingerprint Service.default ~proxies:[ "xsbench" ]);
+  Alcotest.(check string) "serve"
+    "serve;queue=6c847e20467315ceeb90c895519d8dce;small=false;repeat=1;\
+     sanitize=false;assumes=false;domains=1;cap=-"
+    (Service.fingerprint Service.default dup_queue)
 
 let test_unknown_names () =
   Alcotest.check_raises "unknown proxy"
@@ -319,7 +365,10 @@ let test_csv_columns () =
   Alcotest.(check int) "header matches csv_columns"
     (List.length R.csv_columns) (count_fields header);
   let p = small "xsbench" in
-  let row = Fmt.str "%a" R.pp_csv (E.measure p C.new_rt) |> String.trim in
+  let row =
+    Fmt.str "%a" R.pp_csv (E.measure_request p (E.request_for p C.new_rt))
+    |> String.trim
+  in
   Alcotest.(check int) "row matches csv_columns"
     (List.length R.csv_columns) (count_fields row);
   (* the trailing columns regression diffs strip, in order *)
@@ -343,6 +392,12 @@ let suite =
     tc "service: served rows = sequential harness" `Quick
       test_served_vs_sequential;
     tc "service: journal records dispositions" `Quick test_service_journal;
+    tc "service: abort + resume serves the uninterrupted rows" `Quick
+      test_service_resume;
+    tc "journal fingerprints match earlier releases" `Quick
+      test_fingerprints_pinned;
+    tc "service: an injected clock is in seconds" `Quick
+      test_injected_clock_seconds;
     tc "service: unknown names rejected" `Quick test_unknown_names;
     tc "request API: wrappers agree" `Quick test_wrapper_parity;
     tc "csv: header/rows/columns agree" `Quick test_csv_columns ]

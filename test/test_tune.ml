@@ -21,8 +21,9 @@ module Chrome = Ozo_obs.Chrome_trace
 
 let tc = Alcotest.test_case
 
-let small name =
-  List.find (fun p -> p.Proxy.p_name = name) (Registry.all_small ())
+let small name = Registry.find_exn ~small:true name
+
+let small_opts = { Ozo_serve.Service.default with Ozo_serve.Service.sv_small = true }
 
 let csv_of_verdict v =
   Fmt.str "%a%a" Tune.pp_csv_header () Tune.pp_csv v
@@ -174,8 +175,8 @@ let matrix_csv t = Fmt.str "%a%a" Matrix.pp_csv_header () Matrix.pp_csv t
 
 let test_matrix_deterministic_and_valid () =
   let run () =
-    Matrix.run ~small:true ~machines:[ "vgpu"; "v100"; "mi250" ]
-      ~proxies:[ "xsbench"; "gridmini" ] ()
+    Matrix.run ~machines:[ "vgpu"; "v100"; "mi250" ]
+      ~proxies:[ "xsbench"; "gridmini" ] small_opts
   in
   let t1 = run () and t2 = run () in
   Alcotest.(check string) "matrix csv deterministic" (matrix_csv t1)
@@ -217,8 +218,7 @@ let test_matrix_deterministic_and_valid () =
    build that is best everywhere equals 1.0 *)
 let test_matrix_efficiency_bounds () =
   let t =
-    Matrix.run ~small:true ~machines:[ "vgpu"; "mi250" ]
-      ~proxies:[ "xsbench" ] ()
+    Matrix.run ~machines:[ "vgpu"; "mi250" ] ~proxies:[ "xsbench" ] small_opts
   in
   List.iter
     (fun machine ->
@@ -242,6 +242,21 @@ let test_matrix_efficiency_bounds () =
                   c.Matrix.x_machine)
     t.Matrix.mx_cells
 
+(* matrix cells are rows of the batch drain: supervised, compiled
+   through the shared cache and timed *)
+let test_matrix_rows_supervised () =
+  let t = Matrix.run ~machines:[ "vgpu"; "mi250" ] ~proxies:[ "xsbench" ] small_opts in
+  List.iter
+    (fun c ->
+      let m = c.Matrix.x_m and what = c.Matrix.x_build ^ "@" ^ c.Matrix.x_machine in
+      Alcotest.(check string) (what ^ ": breaker") "closed" m.E.r_breaker;
+      Alcotest.(check int) (what ^ ": retries") 0 m.E.r_retries;
+      Alcotest.(check bool) (what ^ ": no deadline") false m.E.r_deadline_hit;
+      Alcotest.(check string) (what ^ ": machine") c.Matrix.x_machine m.E.r_machine;
+      Alcotest.(check string) (what ^ ": compiled once") "miss" m.E.r_cache_disp;
+      Alcotest.(check bool) (what ^ ": latency") true (m.E.r_latency_us > 0.0))
+    t.Matrix.mx_cells
+
 let suite =
   [ tc "search: same seed, same verdict, byte for byte" `Quick
       test_search_deterministic;
@@ -257,4 +272,6 @@ let suite =
     tc "matrix: deterministic csv, valid cells, PP ordering" `Quick
       test_matrix_deterministic_and_valid;
     tc "matrix: application-efficiency bounds" `Quick
-      test_matrix_efficiency_bounds ]
+      test_matrix_efficiency_bounds;
+    tc "matrix: cells are supervised, cached, timed rows" `Quick
+      test_matrix_rows_supervised ]

@@ -164,8 +164,8 @@ let test_csv_bytes_identical () =
      which records how the row ran *)
   let normalize m = { m with E.r_phase_us = []; r_exec = "ir" } in
   let csv m = Fmt.str "%a" R.pp_csv (normalize m) in
-  let mi = E.measure ~exec:Engine.Exec_ir p b in
-  let mv = E.measure ~exec:Engine.Exec_vm p b in
+  let mi = E.measure_request p (E.request_for ~exec:Engine.Exec_ir p b) in
+  let mv = E.measure_request p (E.request_for ~exec:Engine.Exec_vm p b) in
   Alcotest.(check string) "exec path recorded" "vm" mv.E.r_exec;
   Alcotest.(check string) "csv bytes identical" (csv mi) (csv mv)
 
@@ -186,12 +186,13 @@ let test_compile_key_exec_sensitive () =
 (* --- campaign journal fingerprint ----------------------------------------- *)
 
 let test_campaign_fingerprint_exec () =
-  let module Campaign = Ozo_resilience.Campaign in
-  let o = { Campaign.default with Campaign.co_proxies = [ "xsbench" ] } in
-  let fp_ir = Campaign.fingerprint o in
-  let fp_vm =
-    Campaign.fingerprint { o with Campaign.co_exec = Engine.Exec_vm }
+  let module Service = Ozo_serve.Service in
+  let fp exec =
+    Service.campaign_fingerprint
+      { Service.default with Service.sv_exec = exec }
+      ~proxies:[ "xsbench" ]
   in
+  let fp_ir = fp Engine.Exec_ir and fp_vm = fp Engine.Exec_vm in
   let has_suffix ~suffix s =
     let ls = String.length s and lx = String.length suffix in
     ls >= lx && String.sub s (ls - lx) lx = suffix
@@ -397,9 +398,7 @@ let vm_row (p : Proxy.t) (b : C.build) =
     (match plan with Some pl -> pl.Engine.rp_nregs | None -> 0)
 
 let test_vm_shape_golden () =
-  let p =
-    List.find (fun p -> p.Proxy.p_name = "xsbench") (Registry.all_small ())
-  in
+  let p = Registry.find_exn ~small:true "xsbench" in
   let row = vm_row p (E.new_rt_for p) in
   if Sys.getenv_opt "OZO_GOLDEN_REGEN" <> None then
     Fmt.pr "GOLDEN-VM %s@." row;
