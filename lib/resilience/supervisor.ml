@@ -98,7 +98,7 @@ let backoff t attempt =
 
 let transient t kind = List.mem kind t.t_opts.sv_transient
 
-let supervise t ~proxy ~build ?(machine = "vgpu")
+let supervise t ~proxy ~build ~machine
     (task : attempt:int -> watchdog:(unit -> bool) option -> E.measurement) :
     E.measurement =
   let key = (proxy, build, machine) in

@@ -19,10 +19,11 @@
      [Journal] when one is named.
 
    With [sv_resume] the journal's rows are replayed verbatim (no
-   re-measurement) and fed through the breaker, so the drain restarts
-   with exactly the supervisor state it died with; live measurement picks
-   up at the first un-journaled row. The resumed process starts with a
-   cold compile cache. [sv_abort_after] is a test hook: the drain raises
+   re-measurement) and fed through the breaker, and their compiles go
+   through the cache without a launch, so the drain restarts with the
+   supervisor and cache state it died with; live measurement picks up at
+   the first un-journaled row and reports the cache disposition of an
+   uninterrupted run. [sv_abort_after] is a test hook: the drain raises
    [Service_error] after appending that many fresh rows, simulating a
    mid-run kill without signals.
 
@@ -42,6 +43,7 @@ module Device = Ozo_vgpu.Device
 module Engine = Ozo_vgpu.Engine
 module Faultinject = Ozo_vgpu.Faultinject
 module Machine = Ozo_backend.Machine
+module Pipeline = Ozo_opt.Pipeline
 module Trace = Ozo_obs.Trace
 module Supervisor = Ozo_resilience.Supervisor
 module Journal = Ozo_resilience.Journal
@@ -187,9 +189,30 @@ let drain ?cache ?(clock = Unix.gettimeofday) ?sleep ?(trace = Trace.null) (o : 
     | Some c -> c
     | None -> Cache.create ~trace ?cap:o.sv_cache_cap ()
   in
-  let cs0 = Cache.stats cache in
   let sup = Supervisor.create ~clock ?sleep ~trace o.sv_sup in
   let replayed = Array.of_list (replay o ~fingerprint) in
+  let n_replayed = min (Array.length replayed) (List.length rows) in
+  (* A replayed row still drives the breaker, and its compiles go through
+     the cache in the order the row made them: the primary, then each
+     ladder rung it fell back through (a skipped row compiled nothing).
+     No launch. A compile that crashed when the row was measured crashes
+     again here and leaves nothing cached, as it did then. *)
+  let restore (p, r) (m : E.measurement) =
+    Supervisor.note sup m;
+    if m.E.r_breaker <> "skipped" then begin
+      let b = r.Request.rq_build in
+      let k = Proxy.kernel_for p b.C.b_abi in
+      let rec rungs pipe n =
+        let r = { r with Request.rq_build = { b with C.b_pipe = pipe } } in
+        (try ignore (Cache.compile_request cache r k) with _ -> ());
+        if n > 0 then Option.iter (fun w -> rungs w (n - 1)) (Pipeline.weaken pipe)
+      in
+      rungs b.C.b_pipe (List.length m.E.r_fallbacks)
+    end
+  in
+  List.iteri (fun i row -> if i < n_replayed then restore row replayed.(i)) rows;
+  (* stats cover the rows this call measures, not the restore *)
+  let cs0 = Cache.stats cache in
   let writer =
     Option.map
       (fun path ->
@@ -234,15 +257,7 @@ let drain ?cache ?(clock = Unix.gettimeofday) ?sleep ?(trace = Trace.null) (o : 
     Fun.protect
       ~finally:(fun () -> Option.iter Journal.close writer)
       (fun () ->
-        List.mapi
-          (fun i row ->
-            if i < Array.length replayed then begin
-              (* replayed verbatim; still drives the breaker *)
-              Supervisor.note sup replayed.(i);
-              replayed.(i)
-            end
-            else measure i row)
-          rows)
+        List.mapi (fun i row -> if i < n_replayed then replayed.(i) else measure i row) rows)
   in
   let wall_us = wall () -. t_start in
   let cs_end = Cache.stats cache in

@@ -53,12 +53,15 @@ let machine_of_name n =
     Service.fail "unknown machine %s (%s)" n (String.concat "|" Machine.names)
 
 (* Run the full sweep through the drain: proxy x build x machine rows,
-   each under [o] with its machine swapped in (the matrix reads every
-   field but [sv_machine] and [sv_repeat]). One compile cache serves the
-   whole sweep; machine is part of the compile key, so per-machine
-   compiles cache-separate automatically. *)
+   each under [o] with its machine swapped in. The matrix sweeps its own
+   machines, so [sv_machine] is not read, and it runs each cell once, so
+   an [sv_repeat] other than 1 is refused rather than ignored. One
+   compile cache serves the whole sweep; machine is part of the compile
+   key, so per-machine compiles cache-separate automatically. *)
 let run ?cache ?(trace = Trace.null) ?(machines = default_machines)
     ?(proxies = Ozo_proxies.Registry.names) (o : Service.opts) : t =
+  if o.Service.sv_repeat <> 1 then
+    Service.fail "the matrix runs each cell once (repeat %d)" o.Service.sv_repeat;
   let plan =
     List.concat_map
       (fun pname ->
@@ -74,9 +77,11 @@ let run ?cache ?(trace = Trace.null) ?(machines = default_machines)
           E.build_names)
       proxies
   in
+  (* only the fields the matrix honours: [sv_machine] is pinned *)
   let fingerprint =
     "matrix;machines=" ^ String.concat "," machines ^ ";"
-    ^ Service.campaign_fingerprint o ~proxies
+    ^ Service.campaign_fingerprint
+        { o with Service.sv_machine = Service.default.Service.sv_machine } ~proxies
   in
   let rows, _ =
     Service.drain ?cache ~trace o ~fingerprint (fun () -> List.map snd plan)

@@ -40,7 +40,8 @@ let failed_row ~proxy ~build kind =
 let test_crash_capture () =
   let sup, _ = make_sup () in
   let m =
-    Supervisor.supervise sup ~proxy:"p" ~build:"b" (fun ~attempt:_ ~watchdog:_ ->
+    Supervisor.supervise sup ~proxy:"p" ~build:"b" ~machine:"vgpu"
+      (fun ~attempt:_ ~watchdog:_ ->
         failwith "compiler exploded")
   in
   (match m.E.r_fault with
@@ -57,7 +58,8 @@ let test_retry_then_success () =
   let sup, _ = make_sup ~sleeps () in
   let calls = ref 0 in
   let m =
-    Supervisor.supervise sup ~proxy:"p" ~build:"b" (fun ~attempt ~watchdog:_ ->
+    Supervisor.supervise sup ~proxy:"p" ~build:"b" ~machine:"vgpu"
+      (fun ~attempt ~watchdog:_ ->
         incr calls;
         if attempt < 2 then failed_row ~proxy:"p" ~build:"b" Fault.Deadline
         else ok_row ~proxy:"p" ~build:"b")
@@ -75,7 +77,8 @@ let test_retry_exhausted () =
   let sup, _ = make_sup () in
   let calls = ref 0 in
   let m =
-    Supervisor.supervise sup ~proxy:"p" ~build:"b" (fun ~attempt:_ ~watchdog:_ ->
+    Supervisor.supervise sup ~proxy:"p" ~build:"b" ~machine:"vgpu"
+      (fun ~attempt:_ ~watchdog:_ ->
         incr calls;
         failed_row ~proxy:"p" ~build:"b" Fault.Deadline)
   in
@@ -88,7 +91,8 @@ let test_no_retry_for_permanent_fault () =
   let sup, _ = make_sup () in
   let calls = ref 0 in
   let m =
-    Supervisor.supervise sup ~proxy:"p" ~build:"b" (fun ~attempt:_ ~watchdog:_ ->
+    Supervisor.supervise sup ~proxy:"p" ~build:"b" ~machine:"vgpu"
+      (fun ~attempt:_ ~watchdog:_ ->
         incr calls;
         failed_row ~proxy:"p" ~build:"b" Fault.Oob)
   in
@@ -103,7 +107,8 @@ let test_breaker_trips_and_skips () =
   let sup, _ = make_sup ~opts () in
   let calls = ref 0 in
   let fail_once () =
-    Supervisor.supervise sup ~proxy:"p" ~build:"b" (fun ~attempt:_ ~watchdog:_ ->
+    Supervisor.supervise sup ~proxy:"p" ~build:"b" ~machine:"vgpu"
+      (fun ~attempt:_ ~watchdog:_ ->
         incr calls;
         failed_row ~proxy:"p" ~build:"b" Fault.Oob)
   in
@@ -121,7 +126,7 @@ let test_breaker_trips_and_skips () =
   | None -> Alcotest.fail "skipped row carries a fault");
   (* a different build is unaffected *)
   let m4 =
-    Supervisor.supervise sup ~proxy:"p" ~build:"other"
+    Supervisor.supervise sup ~proxy:"p" ~build:"other" ~machine:"vgpu"
       (fun ~attempt:_ ~watchdog:_ -> ok_row ~proxy:"p" ~build:"other")
   in
   Alcotest.(check string) "independent key stays closed" "closed" m4.E.r_breaker
@@ -133,7 +138,8 @@ let test_breaker_resets_on_success () =
   in
   let sup, _ = make_sup ~opts () in
   let run row =
-    Supervisor.supervise sup ~proxy:"p" ~build:"b" (fun ~attempt:_ ~watchdog:_ ->
+    Supervisor.supervise sup ~proxy:"p" ~build:"b" ~machine:"vgpu"
+      (fun ~attempt:_ ~watchdog:_ ->
         row)
   in
   ignore (run (failed_row ~proxy:"p" ~build:"b" Fault.Oob));
@@ -256,10 +262,10 @@ let test_journal_tolerates_torn_line () =
 
 (* --- campaign kill / resume -------------------------------------------- *)
 
-let campaign_opts journal resume abort_after =
+let campaign_opts ?(repeat = 1) journal resume abort_after =
   { Service.default with
-    Service.sv_small = true; sv_journal = journal; sv_resume = resume;
-    sv_abort_after = abort_after }
+    Service.sv_small = true; sv_repeat = repeat; sv_journal = journal;
+    sv_resume = resume; sv_abort_after = abort_after }
 
 let campaign o = fst (Service.campaign o ~proxies:[ "xsbench" ])
 
@@ -269,22 +275,29 @@ let csv_of ms =
     (fun ppf -> List.iter (fun m -> R.pp_csv ppf { m with E.r_latency_us = 0.0 }))
     ms
 
-let test_campaign_resume_identical () =
+(* killed mid-run after [abort] fresh rows, then resumed: the CSV equals
+   an uninterrupted run's but for latency, the cache column included *)
+let resume_identical ~repeat ~abort () =
   let path = Filename.temp_file "ozo_campaign" ".jsonl" in
-  (* killed mid-run after 3 fresh rows *)
-  (match campaign (campaign_opts (Some path) false (Some 3)) with
+  (match campaign (campaign_opts ~repeat (Some path) false (Some abort)) with
   | _ -> Alcotest.fail "expected the abort hook to fire"
   | exception Service.Service_error _ -> ());
   (match Journal.load ~path with
-  | Ok (_, entries) -> Alcotest.(check int) "three journaled rows" 3 (List.length entries)
+  | Ok (_, entries) -> Alcotest.(check int) "journaled rows" abort (List.length entries)
   | Error e -> Alcotest.failf "journal after abort: %s" e);
   (* resumed run completes the remaining rows *)
-  let resumed = campaign (campaign_opts (Some path) true None) in
+  let resumed = campaign (campaign_opts ~repeat (Some path) true None) in
   (* uninterrupted reference run *)
-  let full = campaign (campaign_opts None false None) in
+  let full = campaign (campaign_opts ~repeat None false None) in
   Alcotest.(check int) "row count" (List.length full) (List.length resumed);
   Alcotest.(check string) "identical CSV but for latency" (csv_of full) (csv_of resumed);
   Sys.remove path
+
+let test_campaign_resume_identical = resume_identical ~repeat:1 ~abort:3
+
+(* the second sweep starts inside the journal: the rows after the resume
+   hit the compiles the replayed rows made, as they do uninterrupted *)
+let test_campaign_resume_warm_cache = resume_identical ~repeat:2 ~abort:6
 
 let test_campaign_resume_rejects_other_fingerprint () =
   let path = Filename.temp_file "ozo_campaign" ".jsonl" in
@@ -366,6 +379,8 @@ let suite =
     tc "journal: measurement roundtrip is csv-exact" test_journal_roundtrip;
     tc "journal: torn final line is tolerated" test_journal_tolerates_torn_line;
     tc "campaign: kill + resume produces identical csv" test_campaign_resume_identical;
+    tc "campaign: kill + resume keeps the cache column (repeat 2)"
+      test_campaign_resume_warm_cache;
     tc "campaign: resume refuses a foreign journal" test_campaign_resume_rejects_other_fingerprint;
     tc "campaign: a repeated sweep hits the compile cache" test_campaign_repeat_hits_cache;
     tc "irgen: generated modules always verify" test_irgen_always_verifies;

@@ -257,6 +257,16 @@ let test_matrix_rows_supervised () =
       Alcotest.(check bool) (what ^ ": latency") true (m.E.r_latency_us > 0.0))
     t.Matrix.mx_cells
 
+(* the matrix runs each cell once: a repeat is refused before any row
+   runs, not accepted and ignored *)
+let test_matrix_refuses_repeat () =
+  match
+    Matrix.run ~machines:[ "vgpu" ] ~proxies:[ "xsbench" ]
+      { small_opts with Ozo_serve.Service.sv_repeat = 2 }
+  with
+  | _ -> Alcotest.fail "expected the matrix to refuse sv_repeat = 2"
+  | exception Ozo_serve.Service.Service_error _ -> ()
+
 let suite =
   [ tc "search: same seed, same verdict, byte for byte" `Quick
       test_search_deterministic;
@@ -274,4 +284,6 @@ let suite =
     tc "matrix: application-efficiency bounds" `Quick
       test_matrix_efficiency_bounds;
     tc "matrix: cells are supervised, cached, timed rows" `Quick
-      test_matrix_rows_supervised ]
+      test_matrix_rows_supervised;
+    tc "matrix: refuses a repeat it would ignore" `Quick
+      test_matrix_refuses_repeat ]
